@@ -15,7 +15,7 @@ from .surface import (
     type_flags,
 )
 from .qesolver import (
-    CoordinateChange, EigenspaceDescription, QEInstance,
+    CoordinateChange, EigenspaceDescription,
     eigenspace, jet_dimension_oracle, killing_stability_check,
     nonlinear_transform, qe_residual, realize_real_basis,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "AffineConnection2", "AnsatzFunction", "CheckResult", "Context",
     "CoordinateChange", "CurvaturePack4", "DeformationTensor", "DomainError",
     "EigenspaceDescription", "ExtensionMetric", "FunctionAlgebraError",
-    "NormalizationRecord", "Point", "QEInstance", "RicciData", "Scalar",
+    "NormalizationRecord", "Point", "RicciData", "Scalar",
     "Term", "TypeFlags", "VerificationReport", "WarpSpec",
     "build_extension", "conformal_einstein_residual", "connection_from_json",
     "connection_to_json", "constant", "curvature4", "default_probe_points",

@@ -20,10 +20,6 @@ def matsub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_is_zero(a) -> bool:
-    return all(v.is_zero() for row in a for v in row)
-
-
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_echelon([list(r) for r in rows]))
 
@@ -65,24 +61,6 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]
             vec[pc] = -row[fc]
         basis.append(vec)
     return basis
-
-
-def solve_unique(a, b):
-    """Solve a x = b for square exact a with unique solution."""
-    n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def mat_inverse_2x2(m):

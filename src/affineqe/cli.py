@@ -16,15 +16,16 @@ import sys
 from fractions import Fraction
 
 from .extension import (
-    DeformationTensor, build_extension, conformal_einstein_residual,
-    curvature4, default_probe_points, verify_theorem_1_1,
+    DeformationTensor, ExtensionError, build_extension,
+    conformal_einstein_residual, curvature4, default_probe_points,
+    verify_theorem_1_1,
 )
 from .funcalg import Context, DomainError, FunctionAlgebraError
 from .qesolver import eigenspace, jet_dimension_oracle, realize_real_basis
-from .scalars import Scalar
+from .report import fmt_float
 from .surface import (
     AffineConnection2, connection_to_json, ricci,
-    is_strongly_projectively_flat, load_connection, type_flags,
+    is_strongly_projectively_flat, load_connection, scalar_str, type_flags,
 )
 from .warp import WarpSpec, WarpError, warped_einstein_report
 
@@ -70,10 +71,6 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _fmt_float(x: float) -> float:
-    return float(format(float(x), ".17g"))
-
-
 def _emit(payload, args) -> None:
     if getattr(args, "format", "json") == "table":
         text = _as_table(payload)
@@ -101,14 +98,6 @@ def _as_table(payload, prefix="") -> str:
 
     walk(payload, prefix)
     return "\n".join(lines) + "\n"
-
-
-def _scalar_json(v: Scalar):
-    from .funcalg import scalar_to_json
-
-    if v.is_rational():
-        return str(v.as_fraction())
-    return scalar_to_json(v)
 
 
 def _eigenspace_payload(desc, real_basis=None):
@@ -158,7 +147,7 @@ def _cmd_classify(args) -> int:
     payload = {
         "connection": connection_to_json(conn),
         "ricci": {
-            "r": [[_scalar_json(v) for v in row] for row in ric.r],
+            "r": [[scalar_str(v) for v in row] for row in ric.r],
             "symmetric": ric.is_symmetric,
             "flat": ric.is_flat,
             "rank_s": ric.rank_s,
@@ -169,7 +158,7 @@ def _cmd_classify(args) -> int:
         "strongly_projectively_flat": {
             "value": bool(spf),
             "family": spf.family,
-            "parameter": (_scalar_json(spf.parameter)
+            "parameter": (scalar_str(spf.parameter)
                           if spf.parameter is not None else None),
             "epsilon": spf.epsilon,
         },
@@ -205,15 +194,15 @@ def _cmd_extend(args) -> int:
     payload = {
         "connection": connection_to_json(conn),
         "point": [
-            _fmt_float(c) for c in point.coordinates],
-        "metric": [[_fmt_float(v.real) for v in row]
+            fmt_float(c) for c in point.coordinates],
+        "metric": [[fmt_float(v.real) for v in row]
                    for row in metric.eval_matrix(point)],
-        "ricci_at_point": [[_fmt_float(pack.ricci[a][b].eval(point).real)
+        "ricci_at_point": [[fmt_float(pack.ricci[a][b].eval(point).real)
                             for b in range(4)] for a in range(4)],
-        "scalar_curvature": _fmt_float(pack.scalar.eval(point).real)
+        "scalar_curvature": fmt_float(pack.scalar.eval(point).real)
         if not pack.scalar.is_zero() else 0.0,
-        "weyl_half_norms": {"self_dual": _fmt_float(norms[0]),
-                            "anti_self_dual": _fmt_float(norms[1])},
+        "weyl_half_norms": {"self_dual": fmt_float(norms[0]),
+                            "anti_self_dual": fmt_float(norms[1])},
     }
     _emit(payload, args)
     return 0
@@ -232,7 +221,7 @@ def _cmd_verify(args) -> int:
         try:
             residual = conformal_einstein_residual(metric, f, points)
             report.add("conformally_einstein", residual, 1e-8)
-        except Exception as exc:  # factor outside the algebra: report, don't hide
+        except ExtensionError as exc:  # factor outside the algebra: report
             report.metadata["conformally_einstein_skipped"] = str(exc)
     _emit(report.to_dict(), args)
     return 0 if report.passed else 1
@@ -255,9 +244,9 @@ def _cmd_warp(args) -> int:
     payload = report.to_dict()
     payload.update({
         "mu_E": report.metadata["mu_E"],
-        "base_residual_max": _fmt_float(
+        "base_residual_max": fmt_float(
             by_name["base_condition_numeric"].max_residual),
-        "constancy_std": _fmt_float(
+        "constancy_std": fmt_float(
             by_name["fiber_constant_std"].max_residual),
     })
     _emit(payload, args)
@@ -290,6 +279,8 @@ def random_connection(kind: str, rng: random.Random, *,
 
 
 def _cmd_sweep(args) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be >= 1, got {args.count}")
     rng = random.Random(_seed(args))
     mus = ([_parse_mu(args.mu)] if args.mu
            else list(DEFAULT_SWEEP_MUS))
@@ -313,7 +304,7 @@ def _cmd_sweep(args) -> int:
                 "case": desc.case_label,
                 "flags": ";".join(desc.flags),
             })
-    fieldnames = list(rows[0].keys()) if rows else []
+    fieldnames = list(rows[0])
     out = (open(args.output, "w", newline="") if args.output
            else sys.stdout)
     try:

@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from .funcalg import (
-    AnsatzFunction, Context, DomainError, Point, Term, constant, monomial,
-    product, to_bundle,
+    AnsatzFunction, Context, DomainError, Point, Term, constant, product,
+    to_bundle,
 )
-from .qesolver import qe_residual
+from .qesolver import is_solution
 from .report import VerificationReport
 from .scalars import Scalar
 from .surface import AffineConnection2, ricci
@@ -142,12 +142,9 @@ class CurvaturePack4:
     its classical form.
     """
 
-    def __init__(self, g, g_inv, conn: AffineConnection2 | None = None,
-                 point=None):
+    def __init__(self, g, g_inv):
         self.g = g
         self.g_inv = g_inv
-        self.conn = conn
-        self.point = point
         self.christoffel = self._christoffel()
         self.riemann_up = self._riemann_up()
         self.ricci = self._ricci()
@@ -378,17 +375,9 @@ def _levi_civita():
     return eps
 
 
-def curvature4(metric: ExtensionMetric, point=None) -> CurvaturePack4:
-    """Curvature package for an extension metric.
-
-    Tensors are symbolic; `point` is kept on the pack for numeric accessors
-    and validated against the Type B domain x1 > 0 up front.
-    """
-    if point is not None and metric.conn.kind == "B":
-        coords = point.coordinates if isinstance(point, Point) else point
-        if coords[0] <= 0:
-            raise DomainError("Type B extensions live over x1 > 0")
-    return CurvaturePack4(metric.g, metric.g_inv, metric.conn, point)
+def curvature4(metric: ExtensionMetric) -> CurvaturePack4:
+    """Curvature package for an extension metric (all tensors symbolic)."""
+    return CurvaturePack4(metric.g, metric.g_inv)
 
 
 # -- helpers on functions ---------------------------------------------------
@@ -457,9 +446,7 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     report = VerificationReport([], {
         "mu": str(mu), "mu_cotangent": str(Fraction(mu, 2)), "lambda": 0,
         "kind": conn.kind})
-    res = qe_residual(conn, mu, f)
-    pre = 0.0 if all(res[i][j].is_zero() for i in range(2)
-                     for j in range(2)) else 1.0
+    pre = 0.0 if is_solution(conn, mu, f) else 1.0
     report.add("precondition_qe_residual", pre, 0.0)
     if pre:
         return report
@@ -547,8 +534,7 @@ def conformal_einstein_residual(metric: ExtensionMetric, f: AnsatzFunction,
     The conformal factor e^{-fhat} = (pi*f)^{-2} stays inside the algebra for
     single-term solutions (a power of x1, or a single exponential).
     """
-    res = qe_residual(metric.conn, Fraction(-1), f)
-    if not all(res[i][j].is_zero() for i in range(2) for j in range(2)):
+    if not is_solution(metric.conn, Fraction(-1), f):
         raise ExtensionError("conformal factor needs a mu = -1 solution")
     if len(f.terms) != 1:
         raise ExtensionError("conformal factor leaves the algebra for "
@@ -566,7 +552,7 @@ def conformal_einstein_residual(metric: ExtensionMetric, f: AnsatzFunction,
                  for a in range(4))
     ghat_inv = tuple(tuple(product(factor_inv, metric.g_inv[a][b])
                            for b in range(4)) for a in range(4))
-    pack = CurvaturePack4(ghat, ghat_inv, metric.conn)
+    pack = CurvaturePack4(ghat, ghat_inv)
     quarter = Scalar(Fraction(1, 4))
     residual = [[pack.ricci[a][b]
                  - product(pack.scalar, ghat[a][b]).scale(quarter)

@@ -20,7 +20,7 @@ from .funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
     constant, monomial, product, rank_basis, shift_pow1, substitute_linear,
 )
-from .scalars import Scalar, roots_of_monic
+from .scalars import Scalar, ScalarError, roots_of_monic
 from .surface import (
     AffineConnection2, NormalizationRecord, RicciData,
     is_strongly_projectively_flat, normalize_type_b, ricci, transform,
@@ -30,12 +30,6 @@ from .surface import (
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class QEInstance:
-    conn: AffineConnection2
-    mu: Fraction
 
 
 def _mu_scalar(mu) -> Scalar:
@@ -48,14 +42,8 @@ def _mu_scalar(mu) -> Scalar:
 # residual
 # ---------------------------------------------------------------------------
 
-def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
-    """Exact 2x2 symmetric matrix (d_i d_j - Gamma_ij^k d_k)f - mu f rho_s."""
-    if f.context is not conn.context:
-        raise FunctionAlgebraError(
-            f"function context {f.context.value} does not match connection "
-            f"kind {conn.kind}")
-    mus = _mu_scalar(mu)
-    rho_s = ricci(conn).rho_s
+def _hessian(conn: AffineConnection2, f: AnsatzFunction):
+    """Exact affine Hessian d_i d_j f - Gamma_ij^k d_k f (symmetric 2x2)."""
     d = [f.derive(1), f.derive(2)]
     out = [[None, None], [None, None]]
     for i in (0, 1):
@@ -64,14 +52,33 @@ def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
             for k in (0, 1):
                 acc = acc - product(conn.gamma_function(i + 1, j + 1, k + 1),
                                     d[k])
-            acc = acc - product(f, rho_s[i][j]).scale(mus)
             out[i][j] = acc
             out[j][i] = acc
+    return out
+
+
+def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
+    """Exact 2x2 symmetric matrix (d_i d_j - Gamma_ij^k d_k)f - mu f rho_s."""
+    if f.context is not conn.context:
+        raise FunctionAlgebraError(
+            f"function context {f.context.value} does not match connection "
+            f"kind {conn.kind}")
+    mus = _mu_scalar(mu)
+    rho_s = ricci(conn).rho_s
+    out = _hessian(conn, f)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        out[i][j] = out[j][i] = (out[i][j]
+                                 - product(f, rho_s[i][j]).scale(mus))
     return (tuple(out[0]), tuple(out[1]))
 
 
-def _residual_is_zero(res) -> bool:
-    return all(res[i][j].is_zero() for i in range(2) for j in range(2))
+def _all_zero(matrix) -> bool:
+    return all(v.is_zero() for row in matrix for v in row)
+
+
+def is_solution(conn: AffineConnection2, mu, f: AnsatzFunction) -> bool:
+    """True when f solves H f = mu f rho_s exactly."""
+    return _all_zero(qe_residual(conn, mu, f))
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +105,6 @@ class CoordinateChange:
 
 IDENTITY_CHANGE = CoordinateChange(((Scalar(1), Scalar(0)),
                                     (Scalar(0), Scalar(1))))
-
-
-def _change_from_record(record: NormalizationRecord) -> CoordinateChange:
-    return CoordinateChange(record.matrix)
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def _span_terms_b(alphas, log_max=2, deg2_max=2):
 
 def _certify(conn, mu, basis, label):
     for f in basis:
-        if not _residual_is_zero(qe_residual(conn, mu, f)):
+        if not is_solution(conn, mu, f):
             raise SolverError(f"{label}: constructed basis element fails the "
                               f"residual check: {f!r}")
     r, _ = rank_basis(basis) if basis else (0, [])
@@ -194,27 +197,32 @@ def _certify(conn, mu, basis, label):
 # Type A classifier
 # ---------------------------------------------------------------------------
 
+def _quadratic_roots(b: Scalar, c: Scalar, error: str) -> list[Scalar]:
+    """Exact roots of x^2 + b x + c; SolverError(error) unless b, c are
+    rational."""
+    if not (b.is_rational() and c.is_rational()):
+        raise SolverError(error)
+    return roots_of_monic([c.as_fraction(), b.as_fraction(), Fraction(1)])
+
+
+def _flat_spectrum(conn: AffineConnection2, i: int) -> list[Scalar]:
+    """Eigenvalues of the 2x2 matrix (Gamma_ij^k)_jk of the parallel-covector
+    equations along x_i."""
+    m = [[conn.coefficient(i, j, k) for k in (1, 2)] for j in (1, 2)]
+    return _quadratic_roots(-(m[0][0] + m[1][1]),
+                            m[0][0] * m[1][1] - m[0][1] * m[1][0],
+                            "flat solver needs rational coefficients")
+
+
 def _flat_weight_pairs(conn: AffineConnection2):
     """Candidate exponent pairs for flat Type A: joint spectra of the two
     2x2 coefficient matrices of the parallel-covector equations."""
-    m1 = [[conn.coefficient(1, 1, 1), conn.coefficient(1, 1, 2)],
-          [conn.coefficient(1, 2, 1), conn.coefficient(1, 2, 2)]]
-    m2 = [[conn.coefficient(1, 2, 1), conn.coefficient(1, 2, 2)],
-          [conn.coefficient(2, 2, 1), conn.coefficient(2, 2, 2)]]
-
-    def spectrum(m):
-        tr = m[0][0] + m[1][1]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if not (tr.is_rational() and det.is_rational()):
-            raise SolverError("flat solver needs rational coefficients")
-        return roots_of_monic([det.as_fraction(), -tr.as_fraction(),
-                               Fraction(1)])
     pairs = [(Scalar(0), Scalar(0))]
-    for b1 in spectrum(m1):
-        for b2 in spectrum(m2):
+    for b1 in _flat_spectrum(conn, 1):
+        for b2 in _flat_spectrum(conn, 2):
             try:
                 b1 + b2  # context compatibility probe
-            except Exception:
+            except ScalarError:
                 continue
             pairs.append((b1, b2))
     return pairs
@@ -255,10 +263,8 @@ def _exp2(a2, extra_deg2=0, coeff=1):
 
 def _quadratic_exponents(gamma222: Scalar, mu_rho22: Scalar):
     """Roots of a2^2 - Gamma_22^2 a2 - mu rho_22 = 0 as exact Scalars."""
-    if not (gamma222.is_rational() and mu_rho22.is_rational()):
-        raise SolverError("exponent quadratic needs rational data")
-    return roots_of_monic([-mu_rho22.as_fraction(),
-                           -gamma222.as_fraction(), Fraction(1)])
+    return _quadratic_roots(-gamma222, -mu_rho22,
+                            "exponent quadratic needs rational data")
 
 
 def _conic_pairs(conn: AffineConnection2, r):
@@ -303,11 +309,8 @@ def _conic_pairs(conn: AffineConnection2, r):
             else:
                 if not (c * a1 - r12).is_zero():
                     continue
-                shift = r22 - e * a1
-                if not shift.is_rational():
-                    raise SolverError("conic solver needs rational data")
-                for a2 in roots_of_monic([shift.as_fraction(),
-                                          -ff, Fraction(1)]):
+                for a2 in _quadratic_roots(-f, r22 - e * a1,
+                                           "conic solver needs rational data"):
                     pairs.append((a1, a2))
     # dedupe exactly
     out = []
@@ -453,26 +456,19 @@ def _b_mono(alpha, *, coeff=1, log=0, x2=0):
 
 
 def _flat_b_candidates(conn: AffineConnection2):
-    m1 = [[conn.coefficient(1, 1, 1), conn.coefficient(1, 1, 2)],
-          [conn.coefficient(1, 2, 1), conn.coefficient(1, 2, 2)]]
-    tr = m1[0][0] + m1[1][1]
-    det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
-    if not (tr.is_rational() and det.is_rational()):
-        raise SolverError("flat solver needs rational coefficients")
-    spec = roots_of_monic([det.as_fraction(), -tr.as_fraction(), Fraction(1)])
     cands = [Scalar(0), Scalar(1)]
-    for s in spec:
+    for s in _flat_spectrum(conn, 1):
         cands.extend([s, s + 1])
     return cands
 
 
 def _also_a_candidates(conn: AffineConnection2, mu: Fraction, r11: Scalar):
-    c111 = conn.coefficient(1, 1, 1)
+    error = "Type-A-form solver needs rational coefficients"
     c122 = conn.coefficient(1, 2, 2)
-    if not (c111.is_rational() and c122.is_rational() and r11.is_rational()):
-        raise SolverError("Type-A-form solver needs rational coefficients")
-    mur11 = Fraction(mu) * r11.as_fraction()
-    roots = roots_of_monic([-mur11, -(1 + c111.as_fraction()), Fraction(1)])
+    if not c122.is_rational():
+        raise SolverError(error)
+    roots = _quadratic_roots(-(1 + conn.coefficient(1, 1, 1)),
+                             -(Scalar(mu) * r11), error)
     return roots + [c122, c122 + 1, Scalar(0)]
 
 
@@ -526,8 +522,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                               f"{len(basis)}")
         return EigenspaceDescription(3, tuple(basis), "Thm1.5(3) flat", mu,
                                      conn)
-    rs_zero = all(v.is_zero() for row in ric.r_s for v in row)
-    if rs_zero:
+    if _all_zero(ric.r_s):
         return _mu0_type_b(conn, mu, label_suffix=" [rho_s=0]")
     flags_in = type_flags(conn)
     if mu == 0:
@@ -554,7 +549,8 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                 raise SolverError(f"{label}: expected dimension 3")
             return EigenspaceDescription(3, tuple(basis), label, mu,
                                          normalized,
-                                         _change_from_record(record), record)
+                                         CoordinateChange(record.matrix),
+                                         record)
         cm = conn.coeff_map()
         flags = []
         if cm["221"].is_zero():
@@ -566,6 +562,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                                              mu, conn)
             return EigenspaceDescription(0, (), "Thm1.15 none", mu, conn)
         normalized, record = normalize_type_b(conn)
+        change = CoordinateChange(record.matrix)
         n = normalized.coeff_map()
         eps = record.epsilon
         match = (n["222"] == 2 * eps * n["112"] and not n["222"].is_zero()
@@ -579,12 +576,10 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
             basis = [_b_mono(alpha)]
             _certify(normalized, mu, basis, "Thm1.15(2)")
             return EigenspaceDescription(1, tuple(basis), "Thm1.15(2)", mu,
-                                         normalized,
-                                         _change_from_record(record), record,
+                                         normalized, change, record,
                                          tuple(flags))
         return EigenspaceDescription(0, (), "Thm1.15 none", mu, normalized,
-                                     _change_from_record(record), record,
-                                     tuple(flags))
+                                     change, record, tuple(flags))
     # mu outside {0, -1}
     if flags_in.is_also_type_a:
         cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
@@ -599,7 +594,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     if cm["221"].is_zero():
         return EigenspaceDescription(0, (), "Thm1.17 none (C22^1=0)", mu, conn)
     normalized, record = normalize_type_b(conn)
-    change = _change_from_record(record)
+    change = CoordinateChange(record.matrix)
     n = normalized.coeff_map()
     eps = record.epsilon
     flags = []
@@ -762,26 +757,15 @@ class NonlinearTransform:
             return None
         rho_s = ricci(self.conn).rho_s
         d = [self.fhat.derive(1), self.fhat.derive(2)]
-        mus = Scalar(self.mu)
-        half = Scalar(Fraction(1, 2))
-        out = []
-        for i in (0, 1):
-            row = []
-            for j in (0, 1):
-                acc = d[i].derive(j + 1)
-                for k in (0, 1):
-                    acc = acc - product(
-                        self.conn.gamma_function(i + 1, j + 1, k + 1), d[k])
-                acc = acc + rho_s[i][j].scale(2)
-                acc = acc - product(d[i], d[j]).scale(mus * half)
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        h = _hessian(self.conn, self.fhat)
+        half_mu = Scalar(Fraction(self.mu, 2))
+        return tuple(tuple(h[i][j] + rho_s[i][j].scale(2)
+                           - product(d[i], d[j]).scale(half_mu)
+                           for j in (0, 1)) for i in (0, 1))
 
     def is_identically_zero(self) -> bool:
         res = self.residual_symbolic
-        return res is not None and all(
-            res[i][j].is_zero() for i in range(2) for j in range(2))
+        return res is not None and _all_zero(res)
 
     def residual_at(self, points) -> float:
         rho_s = ricci(self.conn).rho_s

@@ -4,6 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def fmt_float(x) -> float:
+    """x as a float fixed to 17 significant digits, for JSON reports."""
+    return float(format(float(x), ".17g"))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -13,7 +18,7 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return {"name": self.name,
-                "max_residual": float(format(self.max_residual, ".17g")),
+                "max_residual": fmt_float(self.max_residual),
                 "tolerance": self.tolerance,
                 "pass": self.passed}
 

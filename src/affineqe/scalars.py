@@ -480,7 +480,6 @@ class Scalar:
 
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 def rational_roots_of_monic(poly: Sequence[Fraction]) -> list[Fraction]:

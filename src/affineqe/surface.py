@@ -101,13 +101,6 @@ class RicciData:
             tuple((self.r[i][j] + self.r[j][i]) * half for j in range(2))
             for i in range(2))
 
-    @cached_property
-    def r_a(self):
-        half = Fraction(1, 2)
-        return tuple(
-            tuple((self.r[i][j] - self.r[j][i]) * half for j in range(2))
-            for i in range(2))
-
     def _as_function(self, matrix, i, j) -> AnsatzFunction:
         ctx = Context.TYPE_A if self.kind == "A" else Context.TYPE_B
         f = constant(matrix[i][j], ctx)
@@ -123,11 +116,6 @@ class RicciData:
     @cached_property
     def rho_s(self):
         return tuple(tuple(self._as_function(self.r_s, i, j) for j in range(2))
-                     for i in range(2))
-
-    @cached_property
-    def rho_a(self):
-        return tuple(tuple(self._as_function(self.r_a, i, j) for j in range(2))
                      for i in range(2))
 
     @cached_property
@@ -367,29 +355,35 @@ def type_flags(conn: AffineConnection2) -> TypeFlags:
 
 def connection_to_json(conn: AffineConnection2) -> dict:
     return {"kind": conn.kind,
-            "coeffs": {k: _scalar_str(v) for k, v in conn.coeff_map().items()}}
+            "coeffs": {k: scalar_str(v) for k, v in conn.coeff_map().items()}}
 
 
-def _scalar_str(v: Scalar):
+def scalar_str(v: Scalar):
+    """JSON form of a scalar: "p/q" when rational, else scalar_to_json."""
     if v.is_rational():
         return str(v.as_fraction())
     return scalar_to_json(v)
 
 
 def connection_from_json(data: dict) -> AffineConnection2:
+    if not isinstance(data, dict):
+        raise ConnectionError_("a connection must be an object with kind and "
+                               "coeffs")
     kind = data.get("kind")
     if kind not in ("A", "B"):
         raise ConnectionError_(f"bad connection kind {kind!r}")
     raw = data.get("coeffs", {})
+    if not isinstance(raw, dict):
+        raise ConnectionError_("coeffs must be an object keyed 111..222")
     coeffs = []
     for key in _COEFF_ORDER:
         v = raw.get(key, "0")
-        if isinstance(v, str):
-            coeffs.append(Scalar(Fraction(v)))
-        elif isinstance(v, int):
-            coeffs.append(Scalar(v))
-        else:
+        try:
             coeffs.append(scalar_from_json(v))
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise ConnectionError_(
+                f"coefficient {key} = {v!r} is not an exact scalar: "
+                f"{exc}") from None
     return AffineConnection2(kind, tuple(coeffs))
 
 

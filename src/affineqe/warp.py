@@ -22,8 +22,8 @@ from .extension import (
     hessian4, laplacian,
 )
 from .funcalg import AnsatzFunction, DomainError, product, to_bundle
-from .qesolver import qe_residual
-from .report import VerificationReport
+from .qesolver import is_solution
+from .report import VerificationReport, fmt_float
 from .scalars import Scalar
 
 
@@ -63,9 +63,7 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
         points = default_probe_points()
     report = VerificationReport([], {
         "mu": str(spec.mu), "r": spec.r, "lambda": str(spec.lam)})
-    res = qe_residual(spec.metric.conn, spec.mu, spec.f)
-    pre = 0.0 if all(res[i][j].is_zero() for i in range(2)
-                     for j in range(2)) else 1.0
+    pre = 0.0 if is_solution(spec.metric.conn, spec.mu, spec.f) else 1.0
     report.add("precondition_qe_residual", pre, 0.0)
     if pre:
         return report
@@ -109,6 +107,6 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
     std = math.sqrt(sum(abs(v - mean) ** 2
                         for v in mu_e_values) / len(mu_e_values))
     report.add("fiber_constant_std", std, 1e-6)
-    report.metadata["mu_E"] = float(format(mean.real, ".17g"))
+    report.metadata["mu_E"] = fmt_float(mean.real)
     report.metadata["mu_E_imag_max"] = max(abs(v.imag) for v in mu_e_values)
     return report

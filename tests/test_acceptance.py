@@ -2,6 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -120,6 +122,25 @@ def test_criterion_3_thm_1_5(agreement_sweep):
                 if mu not in (0, -1) and per_mu[mu][0].dim != 0:
                     bad.append((conn, f"rank-2 SPF needs dim E({mu}) = 0"))
     _line(3, not bad, f"Theorem 1.5 invariants exact ({len(bad)} violations)")
+
+
+# sha256 over (dim, case label, oracle dim, basis JSON) of every instance of
+# the criterion-1 sweep: a refactor that changes any dimension, label or basis
+# term fails here.
+SWEEP_OUTPUTS_SHA256 = (
+    "d28cf9d13535f7c4248e75d247e8bff0b408283752c68073e0f20dc90c9119ea")
+
+
+def test_solver_outputs_pinned(agreement_sweep):
+    results, _ = agreement_sweep
+    digest = hashlib.sha256()
+    for _, per_mu in results:
+        for desc, oracle in per_mu.values():
+            record = [desc.dim, desc.case_label, oracle,
+                      [f.to_json() for f in desc.basis]]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == SWEEP_OUTPUTS_SHA256
 
 
 def test_criterion_4_explicit_bases():

@@ -179,14 +179,31 @@ def test_env_seed_override(tmp_path, hyperbolic_path, monkeypatch, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_bad_input_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize("text", [
+    '{"kind": "Q"}',
+    '{"kind": "A", "coeffs": {"111": "1/0"}}',
+    '{"kind": "A", "coeffs": [1, 2]}',
+    '[1, 2]',
+    '{"kind": "A", "coeffs": {"111": 0.5}}',
+], ids=["bad_kind", "zero_denominator", "coeffs_list", "top_level_list",
+        "float_coeff"])
+def test_bad_input_exit_2(capsys, tmp_path, text):
     p = tmp_path / "broken.json"
-    p.write_text("{\"kind\": \"Q\"}")
+    p.write_text(text)
     code, _, err = run_cli(capsys, "classify", "--input", str(p))
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: malformed connection file")
+    assert len(err.splitlines()) == 1
     code, _, err = run_cli(capsys, "solve", "--input", str(p), "--mu", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_sweep_rejects_nonpositive_count(capsys, count):
+    code, out, err = run_cli(capsys, "sweep", "--kind", "A", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --count must be >= 1, got {count}\n"
 
 
 def test_connection_roundtrip_through_cli(capsys, tmp_path, hyperbolic_path):
