@@ -2,7 +2,9 @@
 warp / sweep.
 
 Exit codes: 0 success (all checks passed), 1 a verification check failed,
-2 malformed input or domain error.  Reports are deterministic JSON (sorted
+2 malformed input or domain error, 3 unsupported input (data the exact
+solver does not handle, such as irrational coefficients where its closed
+forms need rational ones).  Reports are deterministic JSON (sorted
 keys, floats fixed to 17 significant digits); sweeps emit CSV.
 """
 from __future__ import annotations
@@ -21,8 +23,11 @@ from .extension import (
     verify_theorem_1_1,
 )
 from .funcalg import Context, DomainError, FunctionAlgebraError
-from .qesolver import eigenspace, jet_dimension_oracle, realize_real_basis
+from .qesolver import (
+    SolverError, eigenspace, jet_dimension_oracle, realize_real_basis,
+)
 from .report import fmt_float
+from .scalars import ScalarError
 from .surface import (
     AffineConnection2, connection_to_json, ricci,
     is_strongly_projectively_flat, load_connection, scalar_str, type_flags,
@@ -57,10 +62,14 @@ def _load_phi(path: str | None, context: Context) -> DeformationTensor:
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("a deformation must be an object with phi11, "
+                            "phi12 and phi22")
         return DeformationTensor.from_json(data, context)
     except FileNotFoundError:
         raise InputError(f"no such deformation file: {path}")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ArithmeticError, KeyError, ValueError,
+            TypeError) as exc:
         raise InputError(f"malformed deformation file {path}: {exc}")
 
 
@@ -412,6 +421,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SolverError, ScalarError) as exc:
+        print(f"error: unsupported input: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,15 +2,21 @@
 
 The classifier (`eigenspace`) walks the closed-form case tree for Type A and
 Type B surfaces and returns exact bases built from the case-specific ansatz
-constructions; every returned basis element is certified by an exact residual
-check.  `jet_dimension_oracle` computes the same dimension by a completely
-separate route (prolongation to a first-order system and stabilization of the
+constructions.  Where a case gives a finite span of exponential-polynomial
+(Type A) or power-log (Type B) monomials instead of a basis, `_solve_span`
+solves the operator's closed-form action on those monomials, one block of
+interacting monomials at a time.  Either way, every returned basis element is
+certified by `_certify`: an exact residual check through `qe_residual`, which
+does not use the closed-form rows, and an independence check.
+`jet_dimension_oracle` computes the same dimension by a completely separate
+route (prolongation to a first-order system and stabilization of the
 integrability obstruction), which is what the acceptance sweeps compare
 against.  Everything is pure and instances are independent, so sweeps over
 (connection, mu) grids parallelize with no shared state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,7 +26,7 @@ from .funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
     constant, monomial, product, rank_basis, shift_pow1, substitute_linear,
 )
-from .scalars import Scalar, ScalarError, roots_of_monic
+from .scalars import ZERO, Scalar, ScalarError, roots_of_monic
 from .surface import (
     AffineConnection2, NormalizationRecord, RicciData,
     is_strongly_projectively_flat, normalize_type_b, ricci, transform,
@@ -42,18 +48,21 @@ def _mu_scalar(mu) -> Scalar:
 # residual
 # ---------------------------------------------------------------------------
 
+# the independent components (i, j) of a symmetric 2x2 matrix
+_COMPONENTS = ((0, 0), (0, 1), (1, 1))
+
+
 def _hessian(conn: AffineConnection2, f: AnsatzFunction):
     """Exact affine Hessian d_i d_j f - Gamma_ij^k d_k f (symmetric 2x2)."""
     d = [f.derive(1), f.derive(2)]
     out = [[None, None], [None, None]]
-    for i in (0, 1):
-        for j in (i, 1):
-            acc = d[i].derive(j + 1)
-            for k in (0, 1):
-                acc = acc - product(conn.gamma_function(i + 1, j + 1, k + 1),
-                                    d[k])
-            out[i][j] = acc
-            out[j][i] = acc
+    for i, j in _COMPONENTS:
+        acc = d[i].derive(j + 1)
+        for k in (0, 1):
+            acc = acc - product(conn.gamma_function(i + 1, j + 1, k + 1),
+                                d[k])
+        out[i][j] = acc
+        out[j][i] = acc
     return out
 
 
@@ -66,7 +75,7 @@ def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
     mus = _mu_scalar(mu)
     rho_s = ricci(conn).rho_s
     out = _hessian(conn, f)
-    for i, j in ((0, 0), (0, 1), (1, 1)):
+    for i, j in _COMPONENTS:
         out[i][j] = out[j][i] = (out[i][j]
                                  - product(f, rho_s[i][j]).scale(mus))
     return (tuple(out[0]), tuple(out[1]))
@@ -126,31 +135,113 @@ class EigenspaceDescription:
 # generic bounded-ansatz solver
 # ---------------------------------------------------------------------------
 
-def _solve_span(conn: AffineConnection2, mu, span_terms: Sequence[Term]):
-    """Exact kernel of the quasi-Einstein operator on span(span_terms)."""
-    context = conn.context
-    monos = [AnsatzFunction([t], context) for t in span_terms]
-    monos = [m for m in monos if not m.is_zero()]
-    rows: dict = {}
-    n = len(monos)
-    for j, m in enumerate(monos):
-        res = qe_residual(conn, mu, m)
-        for (a, b) in ((0, 0), (0, 1), (1, 1)):
-            for t in res[a][b].terms:
-                row = rows.setdefault(((a, b), t.key()), [Scalar(0)] * n)
-                row[j] = row[j] + t.coeff
-    kernel = _linalg.nullspace(list(rows.values()), n)
+def _operator_columns(conn: AffineConnection2, mu,
+                      span_terms: Sequence[Term]) -> list[dict]:
+    """Closed-form image of each unit monomial under f -> H f - mu f rho_s.
+
+    Column j maps ((i, j), Term.key()) to the coefficient of that term in
+    component (i, j) of qe_residual on span_terms[j] with coefficient 1;
+    zero entries are left out.  With C_ij^k the connection coefficients and
+    r_s the constant part of rho_s, and D the partial derivatives:
+
+    Type A, f = e^{a.x} x^m:  H_ij f - mu r_ij f = e^{a.x} (P_ij(a) x^m
+      + sum_l dP_ij/da_l(a) D_l x^m + D_i D_j x^m),
+      where P_ij(a) = a_i a_j - C_ij^k a_k - mu r_ij.
+    Type B, f = x1^alpha log(x1)^l x2^q:  f is d^l/dalpha^l of x1^alpha x2^q,
+      whose image is x1^(alpha-2) x2^q P_ij(alpha)
+      + q x1^(alpha-1) x2^(q-1) S_ij(alpha)
+      + [ij = 22] q(q-1) x1^alpha x2^(q-2),
+      where P_ij = [ij = 11] alpha(alpha-1) - C_ij^1 alpha - mu r_ij and
+      S_ij = [ij = 12] alpha - C_ij^2; the alpha-derivatives of P and S
+      carry the lower powers of log(x1).
+
+    The polynomials in a or alpha are evaluated once per exponent.
+    """
+    mus = _mu_scalar(mu)
+    r_s = ricci(conn).r_s
+    c = [[[conn.coefficient(i + 1, j + 1, k + 1) for k in (0, 1)]
+          for j in (0, 1)] for i in (0, 1)]
+    symbols: dict = {}
+    columns = []
+    for t in span_terms:
+        col: dict = {}
+
+        def put(ij, pow1, logdeg, deg2, v):
+            if not v.is_zero():
+                col[(ij, (t.exp1, t.exp2, pow1, logdeg, deg2, 0, 0))] = v
+
+        if conn.kind == "A":
+            a = (t.exp1, t.exp2)
+            if a not in symbols:
+                # (P_ij(a), [dP_ij/da_1, dP_ij/da_2]) per component
+                symbols[a] = [
+                    (a[i] * a[j] - c[i][j][0] * a[0] - c[i][j][1] * a[1]
+                     - mus * r_s[i][j],
+                     [(a[j] if l == i else ZERO) + (a[i] if l == j else ZERO)
+                      - c[i][j][l] for l in (0, 1)])
+                    for i, j in _COMPONENTS]
+            p, q = int(t.pow1.as_fraction()), t.deg2
+            # D_i D_j x1^p x2^q: coefficient and how far it lowers p and q
+            second = ((p * (p - 1), 2, 0), (p * q, 1, 1), (q * (q - 1), 0, 2))
+            for ij, (value, grad), (n, dp, dq) in zip(_COMPONENTS, symbols[a],
+                                                      second):
+                put(ij, t.pow1, 0, q, value)
+                if p:
+                    put(ij, Scalar(p - 1), 0, q, grad[0] * p)
+                if q:
+                    put(ij, t.pow1, 0, q - 1, grad[1] * q)
+                if n:
+                    put(ij, Scalar(p - dp), 0, q - dq, Scalar(n))
+        else:
+            alpha = t.pow1
+            if alpha not in symbols:
+                # alpha - 2, alpha - 1, and per component (P, P', P''), (S, S')
+                symbols[alpha] = (alpha - 2, alpha - 1, [
+                    ((alpha * (alpha - 1) - c[0][0][0] * alpha
+                      - mus * r_s[0][0], 2 * alpha - 1 - c[0][0][0],
+                      Scalar(2)),
+                     (-c[0][0][1], ZERO)),
+                    ((-c[0][1][0] * alpha - mus * r_s[0][1], -c[0][1][0],
+                      ZERO),
+                     (alpha - c[0][1][1], Scalar(1))),
+                    ((-c[1][1][0] * alpha - mus * r_s[1][1], -c[1][1][0],
+                      ZERO),
+                     (-c[1][1][1], ZERO))])
+            low2, low1, parts = symbols[alpha]
+            l, q = t.logdeg, t.deg2
+            for ij, (ps, ss) in zip(_COMPONENTS, parts):
+                for k in range(min(l, 2) + 1):
+                    put(ij, low2, l - k, q, ps[k] * math.comb(l, k))
+                if q:
+                    for k in range(min(l, 1) + 1):
+                        put(ij, low1, l - k, q - 1,
+                            ss[k] * (q * math.comb(l, k)))
+            if q >= 2:
+                put((1, 1), alpha, l, q - 2, Scalar(q * (q - 1)))
+        columns.append(col)
+    return columns
+
+
+def _solve_span(conn: AffineConnection2, mu, span_terms: Sequence[Term],
+                label: str):
+    """Certified kernel of the quasi-Einstein operator on span(span_terms).
+
+    span_terms are unit monomials with distinct keys.  Their coefficient
+    columns come from the operator's closed-form action on one monomial
+    (`_operator_columns`); blocks of columns that share no row are eliminated
+    separately (`_linalg.block_nullspace`).  A block never spans two Type A
+    exponent pairs, or two Type B exponents whose difference is not an
+    integer; the (1, 2) component links those that differ by one.  Each
+    kernel vector becomes one basis element scaled to leading coefficient 1,
+    and the basis goes through `_certify`.
+    """
+    columns = _operator_columns(conn, mu, span_terms)
     out = []
-    for vec in kernel:
-        terms = []
-        for c, m in zip(vec, monos):
-            if not c.is_zero():
-                terms.append(m.terms[0].with_coeff(c * m.terms[0].coeff))
-        f = AnsatzFunction(terms, context)
-        if f.is_zero():
-            continue
-        lead = f.terms[0].coeff
-        out.append(f.scale(lead.inverse()))
+    for vec in _linalg.block_nullspace(columns):
+        f = AnsatzFunction([t.with_coeff(v) for v, t in zip(vec, span_terms)
+                            if not v.is_zero()], conn.context)
+        out.append(f.scale(f.terms[0].coeff.inverse()))
+    _certify(conn, mu, out, label)
     return out
 
 
@@ -370,7 +461,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
     mus = Scalar(mu)
     if ric.is_flat:
         terms = _span_terms_a(_flat_weight_pairs(conn), deg_max=2)
-        basis = _solve_span(conn, mu, terms)
+        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat")
         if len(basis) != 3:
             raise SolverError("flat Type A solver expected dimension 3, got "
                               f"{len(basis)}")
@@ -425,7 +516,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
                                          change)
         pairs = _conic_pairs(conn, ric.r_s)
         terms = _span_terms_a(pairs, deg_max=2)
-        basis = _solve_span(conn, mu, terms)
+        basis = _solve_span(conn, mu, terms, "Thm1.10(2) rank2")
         if len(basis) != 3:
             raise SolverError("critical rank-2 solver expected dimension 3, "
                               f"got {len(basis)}")
@@ -516,7 +607,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     mus = Scalar(mu)
     if ric.is_flat:
         terms = _span_terms_b(_flat_b_candidates(conn), log_max=2, deg2_max=2)
-        basis = _solve_span(conn, mu, terms)
+        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat")
         if len(basis) != 3:
             raise SolverError("flat Type B solver expected dimension 3, got "
                               f"{len(basis)}")
@@ -533,8 +624,8 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
             if flags_in.is_also_type_a:
                 cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
                 terms = _span_terms_b(cands, log_max=2, deg2_max=1)
-                basis = _solve_span(conn, mu, terms)
                 label = "Thm1.13(1) alsoA"
+                basis = _solve_span(conn, mu, terms, label)
                 if len(basis) != 3:
                     raise SolverError(f"{label}: expected dimension 3")
                 return EigenspaceDescription(3, tuple(basis), label, mu, conn)
@@ -542,9 +633,9 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
             v = normalized.coefficient(1, 2, 2)
             cands = [v, v + 1, v + 2]
             terms = _span_terms_b(cands, log_max=2, deg2_max=2)
-            basis = _solve_span(normalized, mu, terms)
             vtxt = str(v.as_fraction()) if v.is_rational() else repr(v)
             label = f"Thm1.13(2) v={vtxt}"
+            basis = _solve_span(normalized, mu, terms, label)
             if len(basis) != 3:
                 raise SolverError(f"{label}: expected dimension 3")
             return EigenspaceDescription(3, tuple(basis), label, mu,
@@ -584,8 +675,8 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     if flags_in.is_also_type_a:
         cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
         terms = _span_terms_b(cands, log_max=2, deg2_max=1)
-        basis = _solve_span(conn, mu, terms)
         label = "Thm6.1(2) TypeA-form"
+        basis = _solve_span(conn, mu, terms, label)
         if len(basis) != 2:
             raise SolverError(f"{label}: expected dimension 2, got "
                               f"{len(basis)}")
@@ -676,6 +767,7 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
     automatically) the coefficient matrices are constant, the integrability
     obstruction is a single matrix, and the answer is the dimension of the
     largest invariant subspace it kills, stabilized in at most dim+1 rounds.
+    Each round keeps only a reduced basis of the obstruction rows.
     """
     mus = _mu_scalar(mu)
     r_s = ricci(conn).r_s
@@ -699,16 +791,18 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
         g = _linalg.matsub(
             _linalg.matsub(_linalg.matmul(m2, m1), _linalg.matmul(m1, m2)),
             m2)
-    rows = [row[:] for row in g]
-    rank = _linalg.rank(rows)
-    for _ in range(5):
-        new_rows = rows + [r for m in (m1, m2)
-                           for r in _linalg.matmul(rows, m)]
-        new_rank = _linalg.rank(new_rows)
-        if new_rank == rank:
-            return 3 - rank
-        rows, rank = new_rows, new_rank
-    raise SolverError("obstruction stabilization exceeded the dimension bound")
+    # rows spans the obstruction's invariant closure so far; the row space
+    # of rows.m depends only on that of rows, so a reduced basis (at most 3
+    # rows) carries each round.  The rank grows every round until it
+    # stabilizes or reaches 3, so at most 3 rounds run.
+    rows = _linalg.row_basis(g)
+    while len(rows) < 3:
+        new_rows = _linalg.row_basis(
+            rows + [r for m in (m1, m2) for r in _linalg.matmul(rows, m)])
+        if len(new_rows) == len(rows):
+            break
+        rows = new_rows
+    return 3 - len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,18 @@ def _poly_roots_numeric(p: Sequence[Fraction]) -> list[complex]:
     return roots
 
 
+# Per-minimal-polynomial data, recomputed on demand; each dict keeps the
+# _CTX_CACHE_MAX most recently added polynomials, so a long sweep over many
+# cubic fields holds bounded memory.
+_CTX_CACHE_MAX = 64
 _CTX_ROOTS: dict[tuple, list[complex]] = {}
 _CTX_REDUCTIONS: dict[tuple, list[tuple[_GQ, ...]]] = {}
+
+
+def _remember(cache: dict, key, value):
+    if len(cache) >= _CTX_CACHE_MAX:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,7 @@ class AlgebraicContext:
             # deterministic order: real roots ascending, then complex by (re, im)
             got.sort(key=lambda z: (0 if abs(z.imag) < 1e-9 else 1, z.real, z.imag))
             got = [complex(z.real, 0.0) if abs(z.imag) < 1e-9 else z for z in got]
-            _CTX_ROOTS[key] = got
+            _remember(_CTX_ROOTS, key, got)
         return got
 
     def root_value(self) -> complex:
@@ -194,7 +204,7 @@ class AlgebraicContext:
                 )
                 rows.append(row)
             got = rows
-            _CTX_REDUCTIONS[key] = got
+            _remember(_CTX_REDUCTIONS, key, got)
         return got
 
 

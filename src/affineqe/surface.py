@@ -5,7 +5,10 @@ are C/x1 on the half-plane x1 > 0.  Six coefficients are stored in the order
 (111, 112, 121, 122, 221, 222) for the symmetric index pairs, and everything
 downstream (Ricci tensors, classification predicates, normalizations) is
 computed exactly over the Scalar field.  Connections and derived data are
-immutable; every function here is pure (results are cached, never mutated).
+immutable; every function here is pure.  `ricci` keeps its results for the
+last 512 connections, `normalize_type_b` for the last 256 and
+`_gamma_function` for the last 64 (connection, index) keys, so memory stays
+bounded over a sweep.
 """
 from __future__ import annotations
 
@@ -74,7 +77,7 @@ class AffineConnection2:
         return f"AffineConnection2({self.kind}; {inner})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _gamma_function(conn: AffineConnection2, i: int, j: int,
                     k: int) -> AnsatzFunction:
     c = conn.coefficient(i, j, k)
@@ -135,7 +138,7 @@ class RicciData:
         return _linalg.rank(self.r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def ricci(conn: AffineConnection2) -> RicciData:
     """Exact Ricci tensor from R(x,y) = nabla_x nabla_y - nabla_y nabla_x.
 
@@ -234,7 +237,7 @@ class NormalizationRecord:
 IDENTITY_RECORD = NormalizationRecord(Scalar(1), Scalar(0), None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def normalize_type_b(conn: AffineConnection2):
     """Rescale so C22^1 = ±1, then shear so C12^1 = 0 (no-op if C22^1 = 0)."""
     if conn.kind != "B":

@@ -198,6 +198,38 @@ def test_bad_input_exit_2(capsys, tmp_path, text):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"phi11": [{"coeff": "1/0", "exp": ["0", "0"]}], "phi12": [], '
+    '"phi22": []}',
+    '[1, 2]',
+    '{"phi11": 5}',
+], ids=["zero_denominator", "top_level_list", "entry_not_list"])
+def test_bad_phi_exit_2(capsys, tmp_path, text):
+    conn_path = tmp_path / "a2.json"
+    save_connection(A2, conn_path)
+    p = tmp_path / "phi.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--input", str(conn_path),
+                             "--mu", "1", "--phi", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed deformation file")
+    assert len(err.splitlines()) == 1
+
+
+def test_unsupported_input_exit_3(capsys, tmp_path):
+    # flat Type B with C11^1 = sqrt 2: the flat solver needs rational data
+    p = tmp_path / "sqrt2.json"
+    p.write_text('{"kind": "B", "coeffs": {"111": {"c": [["0", "0"], '
+                 '["1", "0"]], "min": ["-2", "0", "1"], "root": 1}}}')
+    code, out, err = run_cli(capsys, "solve", "--input", str(p),
+                             "--mu", "1/2")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: unsupported input: flat solver needs rational "
+                   "coefficients\n")
+
+
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_sweep_rejects_nonpositive_count(capsys, count):
     code, out, err = run_cli(capsys, "sweep", "--kind", "A", "--count", count)

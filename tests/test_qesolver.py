@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from affineqe.funcalg import Context, constant, exp_linear, monomial, rank_basis
+from affineqe import _linalg, qesolver
+from affineqe.funcalg import (
+    AnsatzFunction, Context, Term, constant, exp_linear, monomial, rank_basis,
+)
 from affineqe.qesolver import (
-    eigenspace, jet_dimension_oracle, killing_stability_check,
+    SolverError, eigenspace, jet_dimension_oracle, killing_stability_check,
     nonlinear_transform, qe_residual, realize_real_basis,
 )
 from affineqe.scalars import Scalar
@@ -440,3 +443,95 @@ def test_theorem15_invariants_sweep():
                     assert eigenspace(conn, mu).dim == 0
         for mu in mus:
             assert eigenspace(conn, mu).dim <= 3
+
+
+def _residual_map(conn, mu, t):
+    res = qe_residual(conn, mu, AnsatzFunction([t], conn.context))
+    return {((i, j), u.key()): u.coeff
+            for i, j in ((0, 0), (0, 1), (1, 1)) for u in res[i][j].terms}
+
+
+def _check_rows(conn, mu, terms):
+    columns = qesolver._operator_columns(conn, mu, terms)
+    assert len(columns) == len(terms)
+    for t, col in zip(terms, columns):
+        assert col == _residual_map(conn, mu, t), (conn, mu, t)
+
+
+def test_closed_form_rows_match_qe_residual():
+    rng = random.Random(20260808)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+
+    for _ in range(40):
+        mu = q()
+        conn = AffineConnection2.type_a(*[q() for _ in range(6)])
+        terms = [Term(Scalar(1), Scalar(q(), q()), Scalar(q()),
+                      Scalar(rng.randint(0, 3)), 0, rng.randint(0, 3))
+                 for _ in range(4)]
+        _check_rows(conn, mu, terms)
+        conn = AffineConnection2.type_b(*[q() for _ in range(6)])
+        alpha = Scalar(q(), q()) + Scalar.sqrt_rational(rng.choice((0, 2, 3)))
+        # exponents that differ by integers share rows through (1, 2)
+        terms = [Term(Scalar(1), pow1=alpha + rng.randint(-1, 2),
+                      logdeg=rng.randint(0, 2), deg2=rng.randint(0, 2))
+                 for _ in range(4)]
+        _check_rows(conn, mu, terms)
+    # cubic-field exponents of rank-2 critical connections
+    for conn in (AffineConnection2.type_a(c111=2, c112=1, c221=1),
+                 AffineConnection2.type_a(c112=1, c221=1)):
+        pairs = qesolver._conic_pairs(conn, ricci(conn).r_s)
+        terms = qesolver._span_terms_a(pairs, deg_max=2)
+        for mu in (-1, q()):
+            _check_rows(conn, mu, terms)
+
+
+def test_block_nullspace_matches_dense():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        # columns fall into interleaved groups that share no row keys
+        groups = [rng.randint(0, 2) for _ in range(n)]
+        columns = []
+        for g in groups:
+            col = {}
+            for r in range(3):
+                v = rng.choice((0, 0, 1, -2, Fraction(1, 3)))
+                if v:
+                    col[(g, r)] = Scalar(v) + Scalar.sqrt_rational(
+                        rng.choice((0, 0, 2)))
+            columns.append(col)
+        keys = sorted({k for col in columns for k in col})
+        dense = [[col.get(k, Scalar(0)) for col in columns] for k in keys]
+        assert (_linalg.block_nullspace(columns)
+                == _linalg.nullspace(dense, n)), columns
+
+
+def test_solve_span_certifies(monkeypatch):
+    conn = AffineConnection2.type_a(c111=2, c112=1, c221=1)
+    assert eigenspace(conn, -1).dim == 3
+
+    def no_rows(conn, mu, terms):
+        return [{} for _ in terms]
+
+    # with no rows every monomial is a "solution"; the residual check must
+    # refuse them
+    monkeypatch.setattr(qesolver, "_operator_columns", no_rows)
+    with pytest.raises(SolverError, match="fails the residual check"):
+        eigenspace(conn, -1)
+
+
+@pytest.mark.parametrize("conn, mu, dim", [
+    (AffineConnection2.type_a(c121=1, c122=1, c221=2), Fraction(1, 2), 0),
+    (AffineConnection2.type_a(c121=1, c122=1, c221=2), 0, 1),
+    (T110_1A, 0, 2),
+    (AffineConnection2.type_a(c111=2, c112=1, c221=1), -1, 3),
+    (HYPERBOLIC, Fraction(1, 2), 0),
+    (NONSYM, -1, 1),
+    (T114_2, 0, 2),
+    (AffineConnection2.type_b(), Fraction(2, 3), 3),
+], ids=["A0", "A1", "A2", "A3", "B0", "B1", "B2", "B3"])
+def test_oracle_matches_eigenspace(conn, mu, dim):
+    assert jet_dimension_oracle(conn, mu) == dim
+    assert eigenspace(conn, mu).dim == dim

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from affineqe import scalars
 from affineqe.scalars import Scalar, ScalarError, roots_of_monic, squarefree_split
 
 
@@ -114,3 +115,15 @@ def test_sort_key_and_hash():
     xs = {Scalar(1), Scalar(1), Scalar.sqrt_rational(2)}
     assert len(xs) == 2
     assert Scalar(2).sort_key() != Scalar(3).sort_key()
+
+
+def test_context_caches_are_bounded():
+    # theta^3 = n + 2 in a fresh cubic field each time; the first fields are
+    # evicted and recomputed with the same results
+    for _ in range(2):
+        for n in range(scalars._CTX_CACHE_MAX + 10):
+            theta = Scalar.algebraic([-(n + 2), 0, 0, 1], 0)
+            assert theta * theta * theta == Scalar(n + 2)
+            assert abs(theta.to_complex() - (n + 2) ** (1 / 3)) < 1e-9
+    assert len(scalars._CTX_ROOTS) <= scalars._CTX_CACHE_MAX
+    assert len(scalars._CTX_REDUCTIONS) <= scalars._CTX_CACHE_MAX

@@ -6,8 +6,10 @@ import pytest
 from affineqe import _linalg
 from affineqe.funcalg import Context, monomial
 from affineqe.scalars import Scalar
+from affineqe.qesolver import eigenspace
 from affineqe.surface import (
-    AffineConnection2, connection_from_json, connection_to_json,
+    AffineConnection2, _gamma_function, connection_from_json,
+    connection_to_json,
     is_strongly_projectively_flat, nabla_ricci, normalize_type_b, ricci,
     symmetry_obstructions_type_b, type_flags,
 )
@@ -188,3 +190,19 @@ def test_connection_json_roundtrip():
     normalized, _ = normalize_type_b(AffineConnection2.type_b(c221=2, c112=1))
     again = connection_from_json(connection_to_json(normalized))
     assert again == normalized
+
+
+def test_surface_caches_are_bounded():
+    caches = (ricci, normalize_type_b, _gamma_function)
+    largest = max(fn.cache_info().maxsize for fn in caches)
+    misses = [fn.cache_info().misses for fn in caches]
+    # distinct non-flat Type B connections with C22^1 = 1 normalize and
+    # classify cheaply at mu = 1/2
+    for n in range(largest + 10):
+        eigenspace(AffineConnection2.type_b(c111=n + 2, c122=1, c221=1),
+                   Fraction(1, 2))
+    for fn, before in zip(caches, misses):
+        info = fn.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+        assert info.misses - before >= largest + 10
