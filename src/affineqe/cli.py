@@ -2,10 +2,11 @@
 warp / sweep.
 
 Exit codes: 0 success (all checks passed), 1 a verification check failed,
-2 malformed input or domain error, 3 unsupported input (data the exact
-solver does not handle, such as irrational coefficients where its closed
-forms need rational ones).  Reports are deterministic JSON (sorted
-keys, floats fixed to 17 significant digits); sweeps emit CSV.
+2 malformed input, a domain error or a file that cannot be read or written,
+3 unsupported input (data the exact solver does not handle, such as
+irrational coefficients where its closed forms need rational ones).  Reports
+are deterministic JSON (sorted keys, floats fixed to 17 significant digits);
+sweeps emit CSV.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .extension import (
     conformal_einstein_residual, curvature4, default_probe_points,
     verify_theorem_1_1,
 )
-from .funcalg import Context, DomainError, FunctionAlgebraError
+from .funcalg import Context, DomainError
 from .qesolver import (
     SolverError, eigenspace, jet_dimension_oracle, realize_real_basis,
 )
@@ -32,7 +33,7 @@ from .surface import (
     AffineConnection2, connection_to_json, ricci,
     is_strongly_projectively_flat, load_connection, scalar_str, type_flags,
 )
-from .warp import WarpSpec, WarpError, warped_einstein_report
+from .warp import WarpSpec, warped_einstein_report
 
 
 class InputError(ValueError):
@@ -52,6 +53,9 @@ def _load_conn(path: str) -> AffineConnection2:
         return load_connection(path)
     except FileNotFoundError:
         raise InputError(f"no such input file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read input file {path}: "
+                         f"{exc.strerror or exc}")
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise InputError(f"malformed connection file {path}: {exc}")
 
@@ -68,6 +72,9 @@ def _load_phi(path: str | None, context: Context) -> DeformationTensor:
         return DeformationTensor.from_json(data, context)
     except FileNotFoundError:
         raise InputError(f"no such deformation file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read deformation file {path}: "
+                         f"{exc.strerror or exc}")
     except (json.JSONDecodeError, ArithmeticError, KeyError, ValueError,
             TypeError) as exc:
         raise InputError(f"malformed deformation file {path}: {exc}")
@@ -417,8 +424,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InputError, DomainError, FunctionAlgebraError, WarpError,
-            ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ScalarError) as exc:

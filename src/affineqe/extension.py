@@ -12,21 +12,28 @@ the surface.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 from .funcalg import (
-    AnsatzFunction, Context, DomainError, Point, Term, constant, product,
-    to_bundle,
+    AnsatzFunction, Context, Point, Term, constant, hessian, product,
+    ricci_trace, riemann, sum_products, to_bundle,
 )
-from .qesolver import is_solution
+from .qesolver import is_solution, potential_residual_at
 from .report import VerificationReport
 from .scalars import Scalar
 from .surface import AffineConnection2, ricci
 
 _Z4 = AnsatzFunction([], Context.FOURD)
 _ONE4 = constant(1, Context.FOURD)
+
+# sign of each permutation of (0, 1, 2, 3), by its inversion count
+_EPS = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        for p in itertools.permutations(range(4))}
 
 # Orientation dx1 ^ dx2 ^ dy1 ^ dy2; with this choice the *anti-self-dual*
 # half (projector (1 - star)/2) is the one that vanishes for every extension
@@ -125,9 +132,8 @@ def build_extension(conn: AffineConnection2,
 def _assert_inverse(metric: ExtensionMetric) -> None:
     for a in range(4):
         for b in range(4):
-            acc = _Z4
-            for c in range(4):
-                acc = acc + product(metric.g[a][c], metric.g_inv[c][b])
+            acc = sum_products(((metric.g[a][c], metric.g_inv[c][b])
+                                for c in range(4)), Context.FOURD)
             want = _ONE4 if a == b else _Z4
             if acc != want:
                 raise ExtensionError("closed-form inverse failed")
@@ -136,24 +142,21 @@ def _assert_inverse(metric: ExtensionMetric) -> None:
 class CurvaturePack4:
     """Levi-Civita curvature of a 4-d exact metric, all symbolic.
 
-    Index conventions: riemann_up[a][b][c][d] stores R(e_a, e_b) e_c in the
-    e_d slot; ricci[b][c] traces the first slot; riemann[a][b][c][d] is
-    g(R(e_a,e_b) e_d, e_c), the ordering in which the Weyl decomposition has
-    its classical form.
+    Each tensor is built on first use and then kept, so a caller pays only
+    for what it reads.  christoffel[c][a][b] is Gamma_ab^c, the layout of the
+    shared formulas in `funcalg`; riemann_up[a][b][c][d] stores
+    R(e_a, e_b) e_c in the e_d slot; ricci[b][c] traces the first slot;
+    riemann[a][b][c][d] is g(R(e_a,e_b) e_d, e_c), the ordering in which the
+    Weyl decomposition has its classical form.
     """
 
     def __init__(self, g, g_inv):
         self.g = g
         self.g_inv = g_inv
-        self.christoffel = self._christoffel()
-        self.riemann_up = self._riemann_up()
-        self.ricci = self._ricci()
-        self.scalar = self._scalar()
-        self.riemann = self._riemann_down()
-        self.weyl = self._weyl()
 
     # -- tensors ------------------------------------------------------------
-    def _christoffel(self):
+    @cached_property
+    def christoffel(self):
         g, ginv = self.g, self.g_inv
         dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
               for a in range(4)]
@@ -162,90 +165,60 @@ class CurvaturePack4:
         for c in range(4):
             for a in range(4):
                 for b in range(a, 4):
-                    acc = _Z4
-                    for d in range(4):
-                        if ginv[c][d].is_zero():
-                            continue
-                        sym = dg[b][d][a] + dg[a][d][b] - dg[a][b][d]
-                        if not sym.is_zero():
-                            acc = acc + product(ginv[c][d], sym)
-                    acc = acc.scale(half)
+                    acc = sum_products(
+                        ((ginv[c][d], dg[b][d][a] + dg[a][d][b] - dg[a][b][d])
+                         for d in range(4) if not ginv[c][d].is_zero()),
+                        Context.FOURD).scale(half)
                     gamma[c][a][b] = acc
                     gamma[c][b][a] = acc
         return gamma
 
-    def _riemann_up(self):
-        gamma = self.christoffel
-        dgamma = [[[[gamma[d][b][c].derive(a + 1) for d in range(4)]
-                    for c in range(4)] for b in range(4)] for a in range(4)]
-        R = [[[[_Z4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
-             for _ in range(4)]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                for c in range(4):
-                    for d in range(4):
-                        acc = dgamma[a][b][c][d] - dgamma[b][a][c][d]
-                        for e in range(4):
-                            if not gamma[e][b][c].is_zero():
-                                acc = acc + product(gamma[e][b][c],
-                                                    gamma[d][a][e])
-                            if not gamma[e][a][c].is_zero():
-                                acc = acc - product(gamma[e][a][c],
-                                                    gamma[d][b][e])
-                        R[a][b][c][d] = acc
-                        R[b][a][c][d] = -acc
-        return R
+    @cached_property
+    def riemann_up(self):
+        return riemann(self.christoffel)
 
-    def _ricci(self):
-        R = self.riemann_up
-        return [[sum((R[a][b][c][a] for a in range(4)), _Z4)
-                 for c in range(4)] for b in range(4)]
+    @cached_property
+    def ricci(self):
+        return ricci_trace(self.riemann_up)
 
-    def _scalar(self):
-        acc = _Z4
-        for b in range(4):
-            for c in range(4):
-                if not self.g_inv[b][c].is_zero():
-                    acc = acc + product(self.g_inv[b][c], self.ricci[b][c])
-        return acc
+    @cached_property
+    def scalar(self):
+        return sum_products(((self.g_inv[b][c], self.ricci[b][c])
+                             for b in range(4) for c in range(4)),
+                            Context.FOURD)
 
-    def _riemann_down(self):
-        R = self.riemann_up
-        out = [[[[_Z4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    @cached_property
+    def riemann(self):
+        R, g = self.riemann_up, self.g
+        out = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
                for _ in range(4)]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                for c in range(4):
-                    for d in range(4):
-                        acc = _Z4
-                        for e in range(4):
-                            if not (R[a][b][d][e].is_zero()
-                                    or self.g[e][c].is_zero()):
-                                acc = acc + product(R[a][b][d][e],
-                                                    self.g[e][c])
-                        out[a][b][c][d] = acc
-                        out[b][a][c][d] = -acc
+        for a, b in itertools.combinations(range(4), 2):
+            for c in range(4):
+                for d in range(4):
+                    out[a][b][c][d] = sum_products(
+                        ((R[a][b][d][e], g[e][c]) for e in range(4)),
+                        Context.FOURD)
+                    out[b][a][c][d] = -out[a][b][c][d]
         return out
 
-    def _weyl(self):
+    @cached_property
+    def weyl(self):
         g, rho, tau = self.g, self.ricci, self.scalar
         sixth = Scalar(Fraction(1, 6))
         half = Scalar(Fraction(1, 2))
         P = [[(rho[a][b] - product(tau, g[a][b]).scale(sixth)).scale(half)
               for b in range(4)] for a in range(4)]
-        W = [[[[_Z4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
+        minus_P = [[-v for v in row] for row in P]
+        W = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
              for _ in range(4)]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                for c in range(4):
-                    for d in range(4):
-                        acc = self.riemann[a][b][c][d]
-                        acc = acc - product(g[a][c], P[b][d])
-                        acc = acc + product(g[a][d], P[b][c])
-                        acc = acc - product(g[b][d], P[a][c])
-                        acc = acc + product(g[b][c], P[a][d])
-                        W[a][b][c][d] = acc
-                        W[b][a][c][d] = -acc
+        for a, b in itertools.combinations(range(4), 2):
+            for c in range(4):
+                for d in range(4):
+                    W[a][b][c][d] = self.riemann[a][b][c][d] + sum_products(
+                        ((g[a][c], minus_P[b][d]), (g[a][d], P[b][c]),
+                         (g[b][d], minus_P[a][c]), (g[b][c], P[a][d])),
+                        Context.FOURD)
+                    W[b][a][c][d] = -W[a][b][c][d]
         return W
 
     # -- derived checks -------------------------------------------------------
@@ -266,57 +239,32 @@ class CurvaturePack4:
 
     def weyl_trace_residuals(self):
         """All metric traces of the Weyl tensor (exact functions)."""
-        out = []
-        for b in range(4):
-            for d in range(4):
-                acc = _Z4
-                for a in range(4):
-                    for c in range(4):
-                        if not self.g_inv[a][c].is_zero():
-                            acc = acc + product(self.g_inv[a][c],
-                                                self.weyl[a][b][c][d])
-                out.append(acc)
-        return out
+        return [sum_products(((self.g_inv[a][c], self.weyl[a][b][c][d])
+                              for a in range(4) for c in range(4)),
+                             Context.FOURD)
+                for b in range(4) for d in range(4)]
 
     # -- two-form machinery ---------------------------------------------------
     def star_operator(self):
         """Hodge star on 2-forms for orientation dx1^dx2^dy1^dy2 (det g = 1)."""
-        eps = _levi_civita()
-        star = [[_Z4 for _ in range(6)] for _ in range(6)]
-        for i, (a, b) in enumerate(_PAIRS):
-            for j, (c, d) in enumerate(_PAIRS):
-                acc = _Z4
-                for e in range(4):
-                    for f in range(4):
-                        sign = eps.get((a, b, e, f))
-                        if sign is None:
-                            continue
-                        if self.g_inv[e][c].is_zero() or \
-                                self.g_inv[f][d].is_zero():
-                            continue
-                        term = product(self.g_inv[e][c], self.g_inv[f][d])
-                        acc = acc + (term.scale(sign))
-                star[i][j] = acc
-        return star
+        ginv = self.g_inv
+        return [[sum_products(((ginv[e][c].scale(_EPS[(a, b, e, f)]),
+                                ginv[f][d])
+                               for e in range(4) for f in range(4)
+                               if (a, b, e, f) in _EPS), Context.FOURD)
+                 for c, d in _PAIRS] for a, b in _PAIRS]
 
     def weyl_operator(self):
         """Weyl acting on the 2-form basis (indices raised with g^{-1})."""
-        op = [[_Z4 for _ in range(6)] for _ in range(6)]
-        for i, (a, b) in enumerate(_PAIRS):
-            for j, (c, d) in enumerate(_PAIRS):
-                acc = _Z4
-                for e in range(4):
-                    for f in range(4):
-                        if self.weyl[a][b][e][f].is_zero():
-                            continue
-                        if self.g_inv[e][c].is_zero() or \
-                                self.g_inv[f][d].is_zero():
-                            continue
-                        acc = acc + product(
-                            self.weyl[a][b][e][f],
-                            product(self.g_inv[e][c], self.g_inv[f][d]))
-                op[i][j] = acc
-        return op
+        W, ginv = self.weyl, self.g_inv
+        return [[sum_products(((W[a][b][e][f],
+                                product(ginv[e][c], ginv[f][d]))
+                               for e in range(4) for f in range(4)
+                               if not (W[a][b][e][f].is_zero()
+                                       or ginv[e][c].is_zero()
+                                       or ginv[f][d].is_zero())),
+                              Context.FOURD)
+                 for c, d in _PAIRS] for a, b in _PAIRS]
 
     def weyl_halves(self):
         """(self-dual half, anti-self-dual half) as 6x6 function matrices."""
@@ -338,16 +286,8 @@ class CurvaturePack4:
 
 
 def _matmul6(a, b):
-    out = [[_Z4 for _ in range(6)] for _ in range(6)]
-    for i in range(6):
-        for j in range(6):
-            acc = _Z4
-            for k in range(6):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                acc = acc + product(a[i][k], b[k][j])
-            out[i][j] = acc
-    return out
+    return [[sum_products(((a[i][k], b[k][j]) for k in range(6)),
+                          Context.FOURD) for j in range(6)] for i in range(6)]
 
 
 def _frobenius(matrix, point) -> float:
@@ -360,62 +300,21 @@ def _frobenius(matrix, point) -> float:
     return math.sqrt(total)
 
 
-def _levi_civita():
-    import itertools
-
-    eps = {}
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        p = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[tuple(perm)] = sign
-    return eps
-
-
 def curvature4(metric: ExtensionMetric) -> CurvaturePack4:
-    """Curvature package for an extension metric (all tensors symbolic)."""
+    """Curvature package for an extension metric; its tensors are built on
+    first use."""
     return CurvaturePack4(metric.g, metric.g_inv)
 
 
 # -- helpers on functions ---------------------------------------------------
 
-def hessian4(pack: CurvaturePack4, F: AnsatzFunction):
-    d = [F.derive(a + 1) for a in range(4)]
-    out = [[_Z4 for _ in range(4)] for _ in range(4)]
-    for a in range(4):
-        for b in range(a, 4):
-            acc = d[a].derive(b + 1)
-            for c in range(4):
-                if not pack.christoffel[c][a][b].is_zero():
-                    acc = acc - product(pack.christoffel[c][a][b], d[c])
-            out[a][b] = acc
-            out[b][a] = acc
-    return out
-
-
 def gradient_norm_sq(metric_or_pack, F: AnsatzFunction) -> AnsatzFunction:
     ginv = metric_or_pack.g_inv
     d = [F.derive(a + 1) for a in range(4)]
-    acc = _Z4
-    for a in range(4):
-        for b in range(4):
-            if ginv[a][b].is_zero() or d[a].is_zero() or d[b].is_zero():
-                continue
-            acc = acc + product(ginv[a][b], product(d[a], d[b]))
-    return acc
-
-
-def laplacian(pack: CurvaturePack4, F: AnsatzFunction) -> AnsatzFunction:
-    H = hessian4(pack, F)
-    acc = _Z4
-    for a in range(4):
-        for b in range(4):
-            if not pack.g_inv[a][b].is_zero():
-                acc = acc + product(pack.g_inv[a][b], H[a][b])
-    return acc
+    return sum_products(((ginv[a][b], product(d[a], d[b]))
+                         for a in range(4) for b in range(4)
+                         if not (ginv[a][b].is_zero() or d[a].is_zero()
+                                 or d[b].is_zero())), Context.FOURD)
 
 
 def default_probe_points(seed: int = 0, count: int = 10) -> list:
@@ -466,23 +365,17 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     report.add("ricci_equals_2_pullback", worst, 0.0)
 
     # (i) quasi-Einstein
+    half_mu = Scalar(Fraction(mu, 2))
+    hw = hessian(pack.christoffel, w)
+    sym_ok = all(
+        (hw[a][b] - product(w, pack.ricci[a][b]).scale(half_mu)).is_zero()
+        for a in range(4) for b in range(4))
+    report.add("quasi_einstein_symbolic", 0.0 if sym_ok else 1.0, 0.0)
     if mu == 0:
-        hf = hessian4(pack, w)
-        sym_ok = all(hf[a][b].is_zero() for a in range(4) for b in range(4))
-        report.add("quasi_einstein_symbolic", 0.0 if sym_ok else 1.0, 0.0)
         report.add("quasi_einstein_numeric", 0.0 if sym_ok else 1.0, 1e-10)
     else:
-        half_mu = Scalar(Fraction(mu, 2))
-        hw = hessian4(pack, w)
-        sym_ok = True
-        for a in range(4):
-            for b in range(4):
-                lhs = hw[a][b] - product(w, pack.ricci[a][b]).scale(half_mu)
-                if not lhs.is_zero():
-                    sym_ok = False
-        report.add("quasi_einstein_symbolic", 0.0 if sym_ok else 1.0, 0.0)
-        report.add("quasi_einstein_numeric",
-                   _nonlinear_residual(pack, w, mu, points), 1e-8)
+        report.add("quasi_einstein_numeric", potential_residual_at(
+            w, hw, pack.ricci, mu, points, "pi*f"), 1e-8)
 
     # (ii) isotropy, structural
     iso = gradient_norm_sq(metric, w)
@@ -499,32 +392,6 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     report.metadata["vanishing_half"] = (
         "anti-self-dual" if VANISHING_WEYL_SIGN < 0 else "self-dual")
     return report
-
-
-def _nonlinear_residual(pack: CurvaturePack4, w: AnsatzFunction, mu: Fraction,
-                        points) -> float:
-    """Literal residual H_g F + rho_g - (mu/2) dF x dF at probes,
-    F = -(2/mu) log(pi*f)."""
-    dw = [w.derive(a + 1) for a in range(4)]
-    hw = hessian4(pack, w)
-    worst = 0.0
-    for p in points:
-        wv = w.eval(p)
-        if abs(wv.imag) > 1e-12 or wv.real <= 0:
-            raise DomainError(f"pi*f must be positive at probe {p}")
-        wv = wv.real
-        grad = [dw[a].eval(p) for a in range(4)]
-        fgrad = [(-2 / mu) * grad[a] / wv for a in range(4)]
-        for a in range(4):
-            for b in range(4):
-                hab = hw[a][b].eval(p)
-                hf = (-2 / mu) * (hab / wv - grad[a] * grad[b] / wv ** 2)
-                # hessian4 already subtracted the Christoffel part of w;
-                # convert to the Hessian of F exactly:
-                val = (hf + pack.ricci[a][b].eval(p)
-                       - Fraction(mu, 2) * fgrad[a] * fgrad[b])
-                worst = max(worst, abs(val))
-    return worst
 
 
 def conformal_einstein_residual(metric: ExtensionMetric, f: AnsatzFunction,

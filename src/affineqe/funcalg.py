@@ -9,13 +9,20 @@ TYPE_B:  e1 = e2 = 0, p complex algebraic, l >= 0, no fiber; domain x1 > 0.
 FOURD:   all fields allowed; used on the cotangent bundle with fiber (y1, y2).
 
 Every context is closed under the partial derivatives of its variables, which
-is what makes exact residual computations possible downstream.  All values
+is what makes exact residual computations possible downstream.
+
+The tensor formulas that the surface and the cotangent bundle share live here
+once: `sum_products`, the Hessian `hessian`, the curvature `riemann` and its
+trace `ricci_trace`.  They take the Christoffel symbols of an n-dimensional
+connection (n = 2 on a surface, 4 on T*M) as a nested array
+gamma[k][i][j] = Gamma_ij^k, with 0-based indices.  All values
 are immutable and all operations pure, so they are safe to share across
 threads without synchronization.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -376,6 +383,59 @@ def product(f: AnsatzFunction, g: AnsatzFunction) -> AnsatzFunction:
                             s.deg2 + t.deg2, s.fiberdeg1 + t.fiberdeg1,
                             s.fiberdeg2 + t.fiberdeg2))
     return AnsatzFunction(out, f.context)
+
+
+def sum_products(pairs, context: Context) -> AnsatzFunction:
+    """Sum of f * g over the (f, g) pairs, skipping pairs with a zero factor;
+    the terms of every product are merged once, into one function."""
+    out: list[Term] = []
+    for f, g in pairs:
+        if not (f.is_zero() or g.is_zero()):
+            out.extend(product(f, g).terms)
+    return AnsatzFunction(out, context)
+
+
+# -- tensor formulas shared by the surface and the cotangent bundle ---------
+
+def hessian(gamma, f: AnsatzFunction):
+    """Hessian d_a d_b f - Gamma_ab^c d_c f as a symmetric n x n matrix."""
+    n = len(gamma)
+    d = [f.derive(a + 1) for a in range(n)]
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            out[a][b] = out[b][a] = d[a].derive(b + 1) - sum_products(
+                ((gamma[c][a][b], d[c]) for c in range(n)), f.context)
+    return out
+
+
+def riemann(gamma):
+    """R[a][b][c][d]: the e_d component of R(e_a, e_b) e_c, that is
+    d_a Gamma_bc^d - d_b Gamma_ac^d + Gamma_bc^e Gamma_ae^d
+    - Gamma_ac^e Gamma_be^d."""
+    n = len(gamma)
+    context = gamma[0][0][0].context
+    neg = [[[-g for g in row] for row in plane] for plane in gamma]
+    zero = AnsatzFunction([], context)
+    R = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        for c in range(n):
+            for d in range(n):
+                pairs = ([(gamma[e][b][c], gamma[d][a][e]) for e in range(n)]
+                         + [(neg[e][a][c], gamma[d][b][e]) for e in range(n)])
+                R[a][b][c][d] = (gamma[d][b][c].derive(a + 1)
+                                 - gamma[d][a][c].derive(b + 1)
+                                 + sum_products(pairs, context))
+                R[b][a][c][d] = -R[a][b][c][d]
+    return R
+
+
+def ricci_trace(R):
+    """Ricci tensor rho_bc = sum_a R[a][b][c][a] of a `riemann` array."""
+    n = len(R)
+    context = R[0][0][0][0].context
+    return [[AnsatzFunction([t for a in range(n) for t in R[a][b][c][a].terms],
+                            context) for c in range(n)] for b in range(n)]
 
 
 def shift_pow1(f: AnsatzFunction, delta) -> AnsatzFunction:

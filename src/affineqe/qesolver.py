@@ -24,11 +24,12 @@ from typing import Sequence
 from . import _linalg
 from .funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
-    constant, monomial, product, rank_basis, shift_pow1, substitute_linear,
+    constant, hessian, monomial, product, rank_basis, shift_pow1,
+    substitute_linear,
 )
 from .scalars import ZERO, Scalar, ScalarError, roots_of_monic
 from .surface import (
-    AffineConnection2, NormalizationRecord, RicciData,
+    AffineConnection2, NormalizationRecord, RicciData, christoffel,
     is_strongly_projectively_flat, normalize_type_b, ricci, transform,
     type_flags,
 )
@@ -52,20 +53,6 @@ def _mu_scalar(mu) -> Scalar:
 _COMPONENTS = ((0, 0), (0, 1), (1, 1))
 
 
-def _hessian(conn: AffineConnection2, f: AnsatzFunction):
-    """Exact affine Hessian d_i d_j f - Gamma_ij^k d_k f (symmetric 2x2)."""
-    d = [f.derive(1), f.derive(2)]
-    out = [[None, None], [None, None]]
-    for i, j in _COMPONENTS:
-        acc = d[i].derive(j + 1)
-        for k in (0, 1):
-            acc = acc - product(conn.gamma_function(i + 1, j + 1, k + 1),
-                                d[k])
-        out[i][j] = acc
-        out[j][i] = acc
-    return out
-
-
 def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
     """Exact 2x2 symmetric matrix (d_i d_j - Gamma_ij^k d_k)f - mu f rho_s."""
     if f.context is not conn.context:
@@ -74,7 +61,7 @@ def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
             f"kind {conn.kind}")
     mus = _mu_scalar(mu)
     rho_s = ricci(conn).rho_s
-    out = _hessian(conn, f)
+    out = hessian(christoffel(conn), f)
     for i, j in _COMPONENTS:
         out[i][j] = out[j][i] = (out[i][j]
                                  - product(f, rho_s[i][j]).scale(mus))
@@ -851,7 +838,7 @@ class NonlinearTransform:
             return None
         rho_s = ricci(self.conn).rho_s
         d = [self.fhat.derive(1), self.fhat.derive(2)]
-        h = _hessian(self.conn, self.fhat)
+        h = hessian(christoffel(self.conn), self.fhat)
         half_mu = Scalar(Fraction(self.mu, 2))
         return tuple(tuple(h[i][j] + rho_s[i][j].scale(2)
                            - product(d[i], d[j]).scale(half_mu)
@@ -862,30 +849,41 @@ class NonlinearTransform:
         return res is not None and _all_zero(res)
 
     def residual_at(self, points) -> float:
-        rho_s = ricci(self.conn).rho_s
-        d = [self.f.derive(1), self.f.derive(2)]
-        dd = [[d[i].derive(j + 1) for j in range(2)] for i in range(2)]
-        worst = 0.0
-        for p in points:
-            coords = p.coordinates if isinstance(p, Point) else tuple(p)
-            fv = self.f.eval(coords)
-            if abs(fv.imag) > 1e-12 or fv.real <= 0:
-                raise DomainError(f"f must be positive at probe {coords}")
-            fv = fv.real
-            grad = [d[i].eval(coords) for i in range(2)]
-            fhat_grad = [(-2 / self.mu) * grad[i] / fv for i in range(2)]
-            for i in range(2):
-                for j in range(2):
-                    hij = dd[i][j].eval(coords)
-                    fhat_hess = (-2 / self.mu) * (
-                        hij / fv - grad[i] * grad[j] / fv ** 2)
-                    for k in range(2):
-                        gk = self.conn.gamma_function(i + 1, j + 1, k + 1)
-                        fhat_hess -= gk.eval(coords) * fhat_grad[k]
-                    val = (fhat_hess + 2 * rho_s[i][j].eval(coords)
-                           - Fraction(self.mu, 2) * fhat_grad[i] * fhat_grad[j])
-                    worst = max(worst, abs(val))
-        return worst
+        rho = [[v.scale(2) for v in row] for row in ricci(self.conn).rho_s]
+        coords = [p.coordinates if isinstance(p, Point) else tuple(p)
+                  for p in points]
+        return potential_residual_at(
+            self.f, hessian(christoffel(self.conn), self.f), rho, self.mu,
+            coords)
+
+
+def potential_residual_at(f: AnsatzFunction, hess, rho, mu: Fraction, points,
+                          name: str = "f") -> float:
+    """Largest |Hess F + rho - (mu/2) dF x dF| at the probes for the
+    potential F = -(2/mu) log f, on the surface or on T*M.
+
+    `hess` is the exact Hessian of f, so Hess F = -(2/mu) (Hess f / f -
+    df x df / f^2) needs no Christoffel symbol here; `name` names f in the
+    error raised at a probe where f is not positive.
+    """
+    n = len(hess)
+    d = [f.derive(a + 1) for a in range(n)]
+    worst = 0.0
+    for p in points:
+        fv = f.eval(p)
+        if abs(fv.imag) > 1e-12 or fv.real <= 0:
+            raise DomainError(f"{name} must be positive at probe {p}")
+        fv = fv.real
+        grad = [d[a].eval(p) for a in range(n)]
+        fgrad = [(-2 / mu) * grad[a] / fv for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                hf = (-2 / mu) * (hess[a][b].eval(p) / fv
+                                  - grad[a] * grad[b] / fv ** 2)
+                val = (hf + rho[a][b].eval(p)
+                       - Fraction(mu, 2) * fgrad[a] * fgrad[b])
+                worst = max(worst, abs(val))
+    return worst
 
 
 def nonlinear_transform(conn: AffineConnection2, mu,

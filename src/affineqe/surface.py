@@ -19,8 +19,8 @@ from functools import cached_property, lru_cache
 
 from . import _linalg
 from .funcalg import (
-    AnsatzFunction, Context, constant, monomial, scalar_from_json,
-    scalar_to_json, shift_pow1,
+    AnsatzFunction, Context, constant, monomial, ricci_trace, riemann,
+    scalar_from_json, scalar_to_json, shift_pow1, sum_products,
 )
 from .scalars import Scalar
 
@@ -138,27 +138,23 @@ class RicciData:
         return _linalg.rank(self.r)
 
 
+def christoffel(conn: AffineConnection2):
+    """Christoffel symbols as gamma[k][i][j] = Gamma_ij^k (0-based), the
+    layout of the shared tensor formulas in `funcalg`."""
+    return [[[conn.gamma_function(i, j, k) for j in (1, 2)] for i in (1, 2)]
+            for k in (1, 2)]
+
+
 @lru_cache(maxsize=512)
 def ricci(conn: AffineConnection2) -> RicciData:
     """Exact Ricci tensor from R(x,y) = nabla_x nabla_y - nabla_y nabla_x.
 
-    Components: rho_11 = R_211^2, rho_12 = R_212^2, rho_21 = R_121^1,
-    rho_22 = R_122^1, with
-    R_ijk^l = d_i G_jk^l - d_j G_ik^l + G_jk^m G_im^l - G_ik^m G_jm^l.
+    rho_jk = R_ijk^i, the trace of the curvature
+    R_ijk^l = d_i G_jk^l - d_j G_ik^l + G_jk^m G_im^l - G_ik^m G_jm^l
+    (`funcalg.riemann` and `funcalg.ricci_trace`, the formulas the
+    cotangent bundle uses too).
     """
-    G = [[[conn.gamma_function(i, j, k) for k in (1, 2)]
-          for j in (1, 2)] for i in (1, 2)]
-    from .funcalg import product
-
-    def R(i, j, k, l):  # all 1-based
-        acc = G[j - 1][k - 1][l - 1].derive(i) - G[i - 1][k - 1][l - 1].derive(j)
-        for m in (1, 2):
-            acc = acc + product(G[j - 1][k - 1][m - 1], G[i - 1][m - 1][l - 1])
-            acc = acc - product(G[i - 1][k - 1][m - 1], G[j - 1][m - 1][l - 1])
-        return acc
-
-    rho = [[R(2, 1, 1, 2), R(2, 1, 2, 2)],
-           [R(1, 2, 1, 1), R(1, 2, 2, 1)]]
+    rho = ricci_trace(riemann(christoffel(conn)))
     r = [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(0)]]
     for i in range(2):
         for j in range(2):
@@ -260,19 +256,15 @@ def normalize_type_b(conn: AffineConnection2):
 def nabla_ricci(conn: AffineConnection2):
     """Covariant derivative (nabla rho)(i,j;k) as exact functions."""
     rho = ricci(conn).rho
-    from .funcalg import product
-
+    gamma = christoffel(conn)
     out = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                acc = rho[i - 1][j - 1].derive(k)
-                for m in (1, 2):
-                    acc = acc - product(conn.gamma_function(k, i, m),
-                                        rho[m - 1][j - 1])
-                    acc = acc - product(conn.gamma_function(k, j, m),
-                                        rho[i - 1][m - 1])
-                out[(i, j, k)] = acc
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                pairs = ([(gamma[m][k][i], rho[m][j]) for m in range(2)]
+                         + [(gamma[m][k][j], rho[i][m]) for m in range(2)])
+                out[(i + 1, j + 1, k + 1)] = rho[i][j].derive(k + 1) - (
+                    sum_products(pairs, conn.context))
     return out
 
 

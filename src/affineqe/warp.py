@@ -19,9 +19,11 @@ from fractions import Fraction
 
 from .extension import (
     ExtensionMetric, curvature4, default_probe_points, gradient_norm_sq,
-    hessian4, laplacian,
 )
-from .funcalg import AnsatzFunction, DomainError, product, to_bundle
+from .funcalg import (
+    AnsatzFunction, Context, DomainError, hessian, product, sum_products,
+    to_bundle,
+)
 from .qesolver import is_solution
 from .report import VerificationReport, fmt_float
 from .scalars import Scalar
@@ -69,7 +71,7 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
         return report
     pack = curvature4(spec.metric)
     warp_fn = spec.phi if phi is None else phi
-    hphi = hessian4(pack, warp_fn)
+    hphi = hessian(pack.christoffel, warp_fn)
     # base condition, cleared of the 1/phi: r*Hess(phi) - phi*rho + lam*phi*g
     lam = Scalar(spec.lam)
     sym_ok = True
@@ -86,7 +88,9 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
 
     worst = 0.0
     mu_e_values = []
-    lap = laplacian(pack, warp_fn)
+    # the Laplacian is the g^{-1}-trace of the Hessian
+    lap = sum_products(((pack.g_inv[a][b], hphi[a][b])
+                        for a in range(4) for b in range(4)), Context.FOURD)
     grad_sq = gradient_norm_sq(spec.metric, warp_fn)
     for p in points:
         pv = warp_fn.eval(p)

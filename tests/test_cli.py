@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -167,6 +169,38 @@ def test_determinism(tmp_path, hyperbolic_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# sha256 over (connection, call, exit code, stdout, stderr) of the 4-d
+# commands on a seeded draw of 4 Type A and 4 Type B connections (each
+# coefficient 0 with probability 1/2, else k/d with k in [-2, 2] and d in
+# {1, 2}): a refactor that changes any byte of these reports fails here.
+GEOMETRY_CALLS = (("extend",), ("verify", "--mu=-1"), ("verify", "--mu=1/2"),
+                  ("warp", "--mu=2"), ("warp", "--mu=1"))
+GEOMETRY_OUTPUTS_SHA256 = (
+    "3f750565b9e62125603cb087a2330f79e0e2cf43fd511118e16f2911d2418674")
+
+
+def test_geometry_outputs_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("QE_SEED", raising=False)
+    rng = random.Random(4)
+    path = str(tmp_path / "conn.json")
+    digest = hashlib.sha256()
+    codes = []
+    for kind in "AAAABBBB":
+        data = {"kind": kind, "coeffs": {
+            key: (str(Fraction(rng.randint(-2, 2), rng.choice((1, 2))))
+                  if rng.random() < 0.5 else "0")
+            for key in ("111", "112", "121", "122", "221", "222")}}
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for call in GEOMETRY_CALLS:
+            code, out, err = run_cli(capsys, call[0], "--input", path,
+                                     *call[1:])
+            codes.append(code)
+            digest.update(json.dumps([data, call, code, out, err]).encode())
+    assert codes.count(0) >= 25   # reports, not only refusals, are pinned
+    assert digest.hexdigest() == GEOMETRY_OUTPUTS_SHA256
+
+
 def test_env_seed_override(tmp_path, hyperbolic_path, monkeypatch, capsys):
     monkeypatch.setenv("QE_SEED", "11")
     out1 = tmp_path / "r1.json"
@@ -214,6 +248,25 @@ def test_bad_phi_exit_2(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed deformation file")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--input", "{dir}"),
+    ("verify", "--input", "{conn}", "--mu", "1", "--phi", "{dir}"),
+    ("classify", "--input", "{conn}", "--output", "{dir}/missing/x.json"),
+    ("sweep", "--kind", "A", "--count", "1", "--output",
+     "{dir}/missing/x.csv"),
+], ids=["input_is_directory", "phi_is_directory", "output_dir_missing",
+        "sweep_output_dir_missing"])
+def test_filesystem_errors_exit_2(capsys, tmp_path, argv):
+    conn_path = tmp_path / "a2.json"
+    save_connection(A2, conn_path)
+    argv = [a.format(dir=tmp_path, conn=conn_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -267,6 +268,36 @@ def test_oracle_agreement_sweep():
             assert desc.dim == jet_dimension_oracle(conn, mu), (conn, mu)
             for f in desc.basis:
                 assert zero_matrix(qe_residual(desc.solver_connection, mu, f))
+
+
+WIDE_MUS = (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(3),
+            Fraction(-5, 7), Fraction(2, 3))
+
+
+def test_oracle_agreement_wide_draws():
+    """Classifier and oracle agree beyond the criterion-1 draws: rational
+    coefficients k/d with k in [-6, 6] and d in {1, 2, 3}, Type B not
+    normalized, more values of mu, and flat connections."""
+    rng = random.Random(20260808)
+    instances = []
+    for _ in range(340):
+        kind = rng.choice("AB")
+        coeffs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                  for _ in range(6)]
+        instances.append((AffineConnection2(kind, coeffs),
+                          rng.choice(WIDE_MUS)))
+    # coefficients in {-1, 0, 1} give 89 flat Type A and 16 flat Type B
+    # connections; every third one is checked
+    small = [AffineConnection2(kind, coeffs) for kind in "AB"
+             for coeffs in itertools.product((-1, 0, 1), repeat=6)]
+    flat = [conn for conn in small if ricci(conn).is_flat]
+    assert (len(flat), sum(c.kind == "B" for c in flat)) == (105, 16)
+    instances += [(conn, mu) for conn in flat[::3]
+                  for mu in (Fraction(-1), Fraction(1, 2))]
+    assert len(instances) == 410
+    for conn, mu in instances:
+        assert eigenspace(conn, mu).dim == jet_dimension_oracle(conn, mu), (
+            conn, mu)
 
 
 def test_realize_real_basis():

@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from affineqe.extension import build_extension, default_probe_points
+from affineqe import extension, warp
+from affineqe.extension import (
+    DeformationTensor, build_extension, default_probe_points,
+    verify_theorem_1_1,
+)
 from affineqe.funcalg import Context, constant, monomial, product, to_bundle
 from affineqe.qesolver import eigenspace, realize_real_basis
 from affineqe.surface import AffineConnection2
@@ -34,6 +38,31 @@ def test_warp_a2_mu1():
     assert names["base_condition_numeric"].max_residual <= 1e-10
     assert names["fiber_constant_std"].max_residual <= 1e-6
     assert report.metadata["mu_E"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_curvature_tensors_built_on_first_use(monkeypatch):
+    packs = []
+    original = extension.curvature4
+
+    def spy(metric):
+        packs.append(original(metric))
+        return packs[-1]
+
+    f = a2_mu1_solution()
+    monkeypatch.setattr(warp, "curvature4", spy)
+    report = warped_einstein_report(
+        WarpSpec(build_extension(A2), f, Fraction(1), 2), POINTS)
+    assert report.passed
+    built = vars(packs[0])
+    assert "christoffel" in built and "ricci" in built
+    assert "riemann" not in built and "weyl" not in built
+
+    monkeypatch.setattr(extension, "curvature4", spy)
+    report = verify_theorem_1_1(A2, DeformationTensor.zero(Context.TYPE_A),
+                                Fraction(1), f, POINTS)
+    assert report.passed
+    assert len(packs) == 2
+    assert "riemann" in vars(packs[1]) and "weyl" in vars(packs[1])
 
 
 def test_warp_flat_base():
