@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -300,31 +301,31 @@ def _cmd_sweep(args) -> int:
     rng = random.Random(_seed(args))
     mus = ([_parse_mu(args.mu)] if args.mu
            else list(DEFAULT_SWEEP_MUS))
-    rows = []
-    all_agree = True
-    for _ in range(args.count):
-        conn = random_connection(args.kind, rng, nonflat=args.nonflat)
-        for mu in mus:
-            desc = eigenspace(conn, mu)
-            dim_oracle = jet_dimension_oracle(conn, mu)
-            agree = desc.dim == dim_oracle
-            all_agree &= agree
-            rows.append({
-                "kind": conn.kind,
-                **{f"c{k}": str(v.as_fraction())
-                   for k, v in conn.coeff_map().items()},
-                "mu": str(mu),
-                "closed_form_dim": desc.dim,
-                "oracle_dim": dim_oracle,
-                "agree": agree,
-                "case": desc.case_label,
-                "flags": ";".join(desc.flags),
-            })
-    fieldnames = list(rows[0])
+    # opened before any row is computed, so an unwritable path fails fast
     out = (open(args.output, "w", newline="") if args.output
            else sys.stdout)
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
+        rows = []
+        all_agree = True
+        for _ in range(args.count):
+            conn = random_connection(args.kind, rng, nonflat=args.nonflat)
+            for mu in mus:
+                desc = eigenspace(conn, mu)
+                dim_oracle = jet_dimension_oracle(conn, mu)
+                agree = desc.dim == dim_oracle
+                all_agree &= agree
+                rows.append({
+                    "kind": conn.kind,
+                    **{f"c{k}": str(v.as_fraction())
+                       for k, v in conn.coeff_map().items()},
+                    "mu": str(mu),
+                    "closed_form_dim": desc.dim,
+                    "oracle_dim": dim_oracle,
+                    "agree": agree,
+                    "case": desc.case_label,
+                    "flags": ";".join(desc.flags),
+                })
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -333,7 +334,9 @@ def _cmd_sweep(args) -> int:
     return 0 if all_agree else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="affineqe",
         description="Quasi-Einstein solution spaces on homogeneous affine "

@@ -251,7 +251,10 @@ class CurvaturePack4:
         return [[sum_products(((ginv[e][c].scale(_EPS[(a, b, e, f)]),
                                 ginv[f][d])
                                for e in range(4) for f in range(4)
-                               if (a, b, e, f) in _EPS), Context.FOURD)
+                               if (a, b, e, f) in _EPS
+                               and not (ginv[e][c].is_zero()
+                                        or ginv[f][d].is_zero())),
+                              Context.FOURD)
                  for c, d in _PAIRS] for a, b in _PAIRS]
 
     def weyl_operator(self):
@@ -271,10 +274,10 @@ class CurvaturePack4:
         star = self.star_operator()
         wop = self.weyl_operator()
         halves = []
+        half_id = _ONE4.scale(Scalar(Fraction(1, 2)))
         for sign in (1, -1):
             proj = [[(star[i][j].scale(Scalar(Fraction(sign, 2)))
-                      + (_ONE4.scale(Scalar(Fraction(1, 2)))
-                         if i == j else _Z4))
+                      + (half_id if i == j else _Z4))
                      for j in range(6)] for i in range(6)]
             half = _matmul6(proj, _matmul6(wop, proj))
             halves.append(half)

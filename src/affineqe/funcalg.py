@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import Scalar, ZERO
 
@@ -60,8 +60,7 @@ class Point:
             raise DomainError("points live on a surface (2 coords) or T*M (4 coords)")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: Scalar
     exp1: Scalar = ZERO
     exp2: Scalar = ZERO
@@ -72,16 +71,14 @@ class Term:
     fiberdeg2: int = 0
 
     def key(self):
-        return (self.exp1, self.exp2, self.pow1, self.logdeg, self.deg2,
-                self.fiberdeg1, self.fiberdeg2)
+        return self[1:]
 
     def sort_key(self):
         return (self.exp1.sort_key(), self.exp2.sort_key(), self.pow1.sort_key(),
                 self.logdeg, self.deg2, self.fiberdeg1, self.fiberdeg2)
 
     def with_coeff(self, c: Scalar) -> "Term":
-        return Term(c, self.exp1, self.exp2, self.pow1, self.logdeg,
-                    self.deg2, self.fiberdeg1, self.fiberdeg2)
+        return Term(c, *self[1:])
 
 
 def _check_term(t: Term, context: Context) -> None:
@@ -103,24 +100,56 @@ def _check_term(t: Term, context: Context) -> None:
             raise FunctionAlgebraError("surface terms carry no fiber degrees")
 
 
+def _derive_terms(terms, axis: int, out: list) -> None:
+    """Append the terms of the partial derivative along `axis` (1-based)."""
+    for t in terms:
+        if axis == 1:
+            if not t.exp1.is_zero():
+                out.append(t.with_coeff(t.coeff * t.exp1))
+            if not t.pow1.is_zero():
+                out.append(Term(t.coeff * t.pow1, t.exp1, t.exp2,
+                                t.pow1 - 1, t.logdeg, t.deg2,
+                                t.fiberdeg1, t.fiberdeg2))
+            if t.logdeg:
+                out.append(Term(t.coeff * t.logdeg, t.exp1, t.exp2,
+                                t.pow1 - 1, t.logdeg - 1, t.deg2,
+                                t.fiberdeg1, t.fiberdeg2))
+        elif axis == 2:
+            if not t.exp2.is_zero():
+                out.append(t.with_coeff(t.coeff * t.exp2))
+            if t.deg2:
+                out.append(Term(t.coeff * t.deg2, t.exp1, t.exp2, t.pow1,
+                                t.logdeg, t.deg2 - 1,
+                                t.fiberdeg1, t.fiberdeg2))
+        elif axis == 3:
+            if t.fiberdeg1:
+                out.append(Term(t.coeff * t.fiberdeg1, t.exp1, t.exp2,
+                                t.pow1, t.logdeg, t.deg2,
+                                t.fiberdeg1 - 1, t.fiberdeg2))
+        else:
+            if t.fiberdeg2:
+                out.append(Term(t.coeff * t.fiberdeg2, t.exp1, t.exp2,
+                                t.pow1, t.logdeg, t.deg2,
+                                t.fiberdeg1, t.fiberdeg2 - 1))
+
+
 class AnsatzFunction:
     """A finite sum of terms, kept merged and in a canonical order."""
 
-    __slots__ = ("terms", "context")
+    __slots__ = ("terms", "context", "_floats")
 
     def __init__(self, terms: Iterable[Term], context: Context):
         merged: dict = {}
         for t in terms:
             _check_term(t, context)
-            k = t.key()
-            if k in merged:
-                merged[k] = merged[k].with_coeff(merged[k].coeff + t.coeff)
-            else:
-                merged[k] = t
+            k = t[1:]
+            m = merged.get(k)
+            merged[k] = t if m is None else m.with_coeff(m.coeff + t.coeff)
         kept = [t for t in merged.values() if not t.coeff.is_zero()]
         kept.sort(key=Term.sort_key)
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "context", context)
+        object.__setattr__(self, "_floats", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("AnsatzFunction is immutable")
@@ -132,9 +161,15 @@ class AnsatzFunction:
     def __add__(self, other: "AnsatzFunction") -> "AnsatzFunction":
         if self.context is not other.context:
             raise FunctionAlgebraError("mixed contexts")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return AnsatzFunction(self.terms + other.terms, self.context)
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return AnsatzFunction(
             [t.with_coeff(-t.coeff) for t in self.terms], self.context)
 
@@ -142,6 +177,8 @@ class AnsatzFunction:
         return self + (-other)
 
     def scale(self, c) -> "AnsatzFunction":
+        if not self.terms:
+            return self
         c = Scalar.of(c)
         return AnsatzFunction(
             [t.with_coeff(t.coeff * c) for t in self.terms], self.context)
@@ -173,36 +210,25 @@ class AnsatzFunction:
             raise FunctionAlgebraError(
                 f"axis {axis} out of range for context {self.context.value}")
         out: list[Term] = []
-        for t in self.terms:
-            if axis == 1:
-                if not t.exp1.is_zero():
-                    out.append(t.with_coeff(t.coeff * t.exp1))
-                if not t.pow1.is_zero():
-                    out.append(Term(t.coeff * t.pow1, t.exp1, t.exp2,
-                                    t.pow1 - 1, t.logdeg, t.deg2,
-                                    t.fiberdeg1, t.fiberdeg2))
-                if t.logdeg:
-                    out.append(Term(t.coeff * t.logdeg, t.exp1, t.exp2,
-                                    t.pow1 - 1, t.logdeg - 1, t.deg2,
-                                    t.fiberdeg1, t.fiberdeg2))
-            elif axis == 2:
-                if not t.exp2.is_zero():
-                    out.append(t.with_coeff(t.coeff * t.exp2))
-                if t.deg2:
-                    out.append(Term(t.coeff * t.deg2, t.exp1, t.exp2, t.pow1,
-                                    t.logdeg, t.deg2 - 1,
-                                    t.fiberdeg1, t.fiberdeg2))
-            elif axis == 3:
-                if t.fiberdeg1:
-                    out.append(Term(t.coeff * t.fiberdeg1, t.exp1, t.exp2,
-                                    t.pow1, t.logdeg, t.deg2,
-                                    t.fiberdeg1 - 1, t.fiberdeg2))
-            else:
-                if t.fiberdeg2:
-                    out.append(Term(t.coeff * t.fiberdeg2, t.exp1, t.exp2,
-                                    t.pow1, t.logdeg, t.deg2,
-                                    t.fiberdeg1, t.fiberdeg2 - 1))
+        _derive_terms(self.terms, axis, out)
         return AnsatzFunction(out, self.context)
+
+    def _float_terms(self) -> list:
+        """Per term, the float data `eval` needs, converted once."""
+        data = self._floats
+        if data is None:
+            data = []
+            for t in self.terms:
+                int_pow = t.pow1.is_nonnegative_integer()
+                data.append((
+                    t.logdeg > 0 or not int_pow,
+                    complex(t.coeff.to_complex()),
+                    t.exp1.to_complex(), t.exp2.to_complex(),
+                    t.pow1.to_complex(),
+                    int(t.pow1.as_fraction()) if int_pow else None,
+                    t.logdeg, t.deg2, t.fiberdeg1, t.fiberdeg2))
+            object.__setattr__(self, "_floats", data)
+        return data
 
     def eval(self, point) -> complex:
         coords = point.coordinates if isinstance(point, Point) else tuple(point)
@@ -214,29 +240,26 @@ class AnsatzFunction:
         y1 = float(coords[2]) if len(coords) > 2 else 0.0
         y2 = float(coords[3]) if len(coords) > 3 else 0.0
         total = 0j
-        for t in self.terms:
-            needs_positive = t.logdeg > 0 or not t.pow1.is_nonnegative_integer()
+        for (needs_positive, v, e1, e2, p, int_pow, logdeg, deg2, fiberdeg1,
+             fiberdeg2) in self._float_terms():
             if needs_positive and x1 <= 0:
                 raise DomainError(
                     "power/log terms need x1 > 0; got x1 = %g" % x1)
-            v = complex(t.coeff.to_complex())
-            e1, e2 = t.exp1.to_complex(), t.exp2.to_complex()
             if e1 or e2:
                 v *= cmath.exp(e1 * x1 + e2 * x2)
-            p = t.pow1.to_complex()
             if p != 0:
-                if t.pow1.is_nonnegative_integer():
-                    v *= x1 ** int(t.pow1.as_fraction())
+                if int_pow is not None:
+                    v *= x1 ** int_pow
                 else:
                     v *= cmath.exp(p * math.log(x1))
-            if t.logdeg:
-                v *= math.log(x1) ** t.logdeg
-            if t.deg2:
-                v *= x2 ** t.deg2
-            if t.fiberdeg1:
-                v *= y1 ** t.fiberdeg1
-            if t.fiberdeg2:
-                v *= y2 ** t.fiberdeg2
+            if logdeg:
+                v *= math.log(x1) ** logdeg
+            if deg2:
+                v *= x2 ** deg2
+            if fiberdeg1:
+                v *= y1 ** fiberdeg1
+            if fiberdeg2:
+                v *= y2 ** fiberdeg2
             total += v
         return total
 
@@ -367,6 +390,16 @@ def x1_power(alpha, context: Context = Context.TYPE_B) -> AnsatzFunction:
     return monomial(context, pow1=alpha)
 
 
+def _product_terms(f_terms, g_terms, out: list) -> None:
+    """Append the term-by-term products of two term lists."""
+    for s in f_terms:
+        for t in g_terms:
+            out.append(Term(s.coeff * t.coeff, s.exp1 + t.exp1, s.exp2 + t.exp2,
+                            s.pow1 + t.pow1, s.logdeg + t.logdeg,
+                            s.deg2 + t.deg2, s.fiberdeg1 + t.fiberdeg1,
+                            s.fiberdeg2 + t.fiberdeg2))
+
+
 def product(f: AnsatzFunction, g: AnsatzFunction) -> AnsatzFunction:
     """Term-by-term product.
 
@@ -375,23 +408,25 @@ def product(f: AnsatzFunction, g: AnsatzFunction) -> AnsatzFunction:
     """
     if f.context is not g.context:
         raise FunctionAlgebraError("mixed contexts")
-    out = []
-    for s in f.terms:
-        for t in g.terms:
-            out.append(Term(s.coeff * t.coeff, s.exp1 + t.exp1, s.exp2 + t.exp2,
-                            s.pow1 + t.pow1, s.logdeg + t.logdeg,
-                            s.deg2 + t.deg2, s.fiberdeg1 + t.fiberdeg1,
-                            s.fiberdeg2 + t.fiberdeg2))
+    out: list[Term] = []
+    _product_terms(f.terms, g.terms, out)
     return AnsatzFunction(out, f.context)
+
+
+def _sum_product_terms(pairs, out: list) -> None:
+    """Append the product terms of every (f, g) pair with no zero factor."""
+    for f, g in pairs:
+        if f.terms and g.terms:
+            if f.context is not g.context:
+                raise FunctionAlgebraError("mixed contexts")
+            _product_terms(f.terms, g.terms, out)
 
 
 def sum_products(pairs, context: Context) -> AnsatzFunction:
     """Sum of f * g over the (f, g) pairs, skipping pairs with a zero factor;
     the terms of every product are merged once, into one function."""
     out: list[Term] = []
-    for f, g in pairs:
-        if not (f.is_zero() or g.is_zero()):
-            out.extend(product(f, g).terms)
+    _sum_product_terms(pairs, out)
     return AnsatzFunction(out, context)
 
 
@@ -401,11 +436,15 @@ def hessian(gamma, f: AnsatzFunction):
     """Hessian d_a d_b f - Gamma_ab^c d_c f as a symmetric n x n matrix."""
     n = len(gamma)
     d = [f.derive(a + 1) for a in range(n)]
+    minus_d = [-g for g in d]
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            out[a][b] = out[b][a] = d[a].derive(b + 1) - sum_products(
-                ((gamma[c][a][b], d[c]) for c in range(n)), f.context)
+            terms: list[Term] = []
+            _derive_terms(d[a].terms, b + 1, terms)
+            _sum_product_terms(((gamma[c][a][b], minus_d[c])
+                                for c in range(n)), terms)
+            out[a][b] = out[b][a] = AnsatzFunction(terms, f.context)
     return out
 
 
@@ -421,11 +460,14 @@ def riemann(gamma):
     for a, b in itertools.combinations(range(n), 2):
         for c in range(n):
             for d in range(n):
-                pairs = ([(gamma[e][b][c], gamma[d][a][e]) for e in range(n)]
-                         + [(neg[e][a][c], gamma[d][b][e]) for e in range(n)])
-                R[a][b][c][d] = (gamma[d][b][c].derive(a + 1)
-                                 - gamma[d][a][c].derive(b + 1)
-                                 + sum_products(pairs, context))
+                terms: list[Term] = []
+                _derive_terms(gamma[d][b][c].terms, a + 1, terms)
+                _derive_terms(neg[d][a][c].terms, b + 1, terms)
+                _sum_product_terms(
+                    [(gamma[e][b][c], gamma[d][a][e]) for e in range(n)]
+                    + [(neg[e][a][c], gamma[d][b][e]) for e in range(n)],
+                    terms)
+                R[a][b][c][d] = AnsatzFunction(terms, context)
                 R[b][a][c][d] = -R[a][b][c][d]
     return R
 

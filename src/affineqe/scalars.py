@@ -8,6 +8,7 @@ the rank-2 critical case) while keeping equality decidable and exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -64,15 +65,20 @@ def _gq_conj(a: _GQ) -> _GQ:
 
 
 def _gq_is_zero(a: _GQ) -> bool:
-    return a[0] == 0 and a[1] == 0
+    return not (a[0] or a[1])
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*m with m squarefree, for n > 0.  Returns (s, m)."""
+    """n = s*s*m with m squarefree, for n > 0.  Returns (s, m).
+
+    Trial division runs only up to the cube root of what is left: the
+    cofactor then has at most two prime factors (1, p, p*q or p^2), and
+    only p^2 is a square.
+    """
     if n <= 0:
         raise ScalarError("squarefree_split needs a positive integer")
     s, m, d, r = 1, 1, 2, n
-    while d * d <= r:
+    while d * d * d <= r:
         if r % d == 0:
             e = 0
             while r % d == 0:
@@ -82,6 +88,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= d
         d += 1
+    root = math.isqrt(r)
+    if root * root == r:
+        return s * root, m
     return s, m * r
 
 
@@ -215,12 +224,13 @@ def _sqrt_context(m: int) -> AlgebraicContext:
 class Scalar:
     """Immutable exact number c0 + c1*theta + c2*theta^2 with ck in Q(i)."""
 
-    __slots__ = ("_c", "_ctx", "_h")
+    __slots__ = ("_c", "_ctx", "_h", "_sk")
 
     def __init__(self, value: RationalLike = 0, imag: RationalLike = 0):
         object.__setattr__(self, "_c", (_gq(value, imag),))
         object.__setattr__(self, "_ctx", None)
         object.__setattr__(self, "_h", None)
+        object.__setattr__(self, "_sk", None)
 
     # -- construction ----------------------------------------------------
     @staticmethod
@@ -236,6 +246,7 @@ class Scalar:
         object.__setattr__(s, "_c", tuple(coeffs))
         object.__setattr__(s, "_ctx", ctx)
         object.__setattr__(s, "_h", None)
+        object.__setattr__(s, "_sk", None)
         return s
 
     @staticmethod
@@ -331,8 +342,15 @@ class Scalar:
             "scalars live in different algebraic extensions; cannot combine"
         )
 
+    # Zero never carries a context (`_make` drops it), so the identities
+    # below skip only work whose result is known; mixing two different
+    # fields still raises in `_join`.
     def __add__(self, other):
         other = Scalar.of(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         ctx = Scalar._join(self, other)
         a, b = self._lift(ctx), other._lift(ctx)
         return Scalar._make([_gq_add(x, y) for x, y in zip(a, b)], ctx)
@@ -350,6 +368,8 @@ class Scalar:
 
     def __mul__(self, other):
         other = Scalar.of(other)
+        if self.is_zero() or other.is_zero():
+            return ZERO
         ctx = Scalar._join(self, other)
         if ctx is None:
             return Scalar._make((_gq_mul(self._c[0], other._c[0]),), None)
@@ -462,12 +482,16 @@ class Scalar:
         return h
 
     def sort_key(self):
-        if self._ctx is None:
-            ctxkey: tuple = ()
-        else:
-            ctxkey = (self._ctx.minpoly, self._ctx.root_index)
-        flat = tuple(x for c in self._c for x in c)
-        return (len(ctxkey), ctxkey, len(flat), flat)
+        key = self._sk
+        if key is None:
+            if self._ctx is None:
+                ctxkey: tuple = ()
+            else:
+                ctxkey = (self._ctx.minpoly, self._ctx.root_index)
+            flat = tuple(x for c in self._c for x in c)
+            key = (len(ctxkey), ctxkey, len(flat), flat)
+            object.__setattr__(self, "_sk", key)
+        return key
 
     def __repr__(self):
         if self._ctx is None:

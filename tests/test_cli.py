@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from affineqe import cli, funcalg, surface
 from affineqe.cli import main
 from affineqe.funcalg import AnsatzFunction, Context
 from affineqe.surface import (
@@ -289,6 +290,56 @@ def test_sweep_rejects_nonpositive_count(capsys, count):
     assert code == 2
     assert out == ""
     assert err == f"error: --count must be >= 1, got {count}\n"
+
+
+def test_sweep_checks_output_before_any_row(capsys, tmp_path, monkeypatch):
+    def eigenspace(*args, **kwargs):
+        raise AssertionError("a row was computed before --output was checked")
+
+    monkeypatch.setattr(cli, "eigenspace", eigenspace)
+    code, out, err = run_cli(capsys, "sweep", "--kind", "A", "--count", "50",
+                             "--seed", "0", "--output",
+                             str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# AnsatzFunction constructions per command on the Type A connection
+# C11^1 = C12^2 = C22^1 = 1, counted with the surface caches cleared.  The
+# parent of the zero-skipping term algebra built 3925, 1521 and 2569; a
+# change that brings back throwaway intermediates fails here, whatever the
+# speed of the machine.
+CONSTRUCTION_BUDGETS = (
+    (("verify", "--mu=-1"), 3925),
+    (("warp", "--mu=2"), 1521),
+    (("verify", "--mu=1/2"), 2569),
+)
+
+
+@pytest.mark.parametrize("call, parent_count", CONSTRUCTION_BUDGETS,
+                         ids=["verify_-1", "warp_2", "verify_1_2"])
+def test_construction_count_guard(capsys, tmp_path, monkeypatch, call,
+                                  parent_count):
+    monkeypatch.delenv("QE_SEED", raising=False)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"kind": "A", "coeffs": {
+        "111": "1", "112": "0", "121": "0", "122": "1", "221": "1",
+        "222": "0"}}))
+    for cached in (surface.ricci, surface.normalize_type_b,
+                   surface._gamma_function):
+        cached.cache_clear()
+    built = []
+    init = funcalg.AnsatzFunction.__init__
+
+    def spy(self, terms, context):
+        built.append(1)
+        init(self, terms, context)
+
+    monkeypatch.setattr(funcalg.AnsatzFunction, "__init__", spy)
+    code, _, err = run_cli(capsys, call[0], "--input", str(path), *call[1:])
+    assert code == 0, err
+    assert len(built) <= 0.55 * parent_count
 
 
 def test_connection_roundtrip_through_cli(capsys, tmp_path, hyperbolic_path):

@@ -7,7 +7,7 @@ import pytest
 from affineqe.funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
     constant, exp_linear, monomial, product, rank_basis, substitute_linear,
-    x1_power,
+    sum_products, x1_power,
 )
 from affineqe.scalars import Scalar
 
@@ -203,3 +203,58 @@ def test_degenerate_axis_errors():
         f.derive(3)
     with pytest.raises(FunctionAlgebraError):
         f.derive(0)
+
+
+def _random_function(rng, context):
+    """A seeded function of `context`, zero about one time in five."""
+    if rng.random() < 0.2:
+        return AnsatzFunction([], context)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        coeff = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                       rng.randint(-1, 1))
+        if context is Context.TYPE_B:
+            terms.append(Term(coeff, pow1=Scalar(Fraction(rng.randint(-3, 3),
+                                                          rng.randint(1, 2))),
+                              logdeg=rng.randint(0, 2), deg2=rng.randint(0, 2)))
+            continue
+        fiber = ((rng.randint(0, 2), rng.randint(0, 2))
+                 if context is Context.FOURD else (0, 0))
+        terms.append(Term(coeff, Scalar(rng.randint(-2, 2)),
+                          Scalar(rng.randint(-1, 1)), Scalar(rng.randint(0, 2)),
+                          0, rng.randint(0, 2), *fiber))
+    return AnsatzFunction(terms, context)
+
+
+@pytest.mark.parametrize("context", list(Context))
+def test_sum_products_matches_sum_of_products(context):
+    rng = random.Random(f"sum_products:{context.value}")
+    for _ in range(60):
+        pairs = [(_random_function(rng, context), _random_function(rng, context))
+                 for _ in range(rng.randint(0, 5))]
+        want = AnsatzFunction([], context)
+        for f, g in pairs:
+            want = want + product(f, g)
+        assert sum_products(pairs, context) == want
+
+
+def test_zero_function_identities():
+    zero = AnsatzFunction([], Context.TYPE_A)
+    f = exp_linear(1, -2) + monomial(Context.TYPE_A, coeff=3, pow1=2)
+    assert f + zero is f
+    assert zero + f is f
+    assert -zero is zero
+    assert f - zero is f
+    with pytest.raises(FunctionAlgebraError):
+        _ = zero + x1_power(Fraction(1, 2))   # Type B
+    with pytest.raises(FunctionAlgebraError):
+        _ = x1_power(Fraction(1, 2)) + zero
+
+
+def test_term_key_is_the_seven_exponent_fields():
+    e1, e2, p = Scalar(1), Scalar(0, 2), Scalar(Fraction(1, 3))
+    assert Term(Scalar(5), e1, e2, p, 1, 2, 3, 4).key() == (e1, e2, p, 1, 2,
+                                                            3, 4)
+    assert Term(Scalar(5)).key() == (Scalar(0), Scalar(0), Scalar(0),
+                                     0, 0, 0, 0)
+    assert Term(Scalar(5), e1).with_coeff(Scalar(7)) == Term(Scalar(7), e1)

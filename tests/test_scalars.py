@@ -1,9 +1,13 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from affineqe import scalars
-from affineqe.scalars import Scalar, ScalarError, roots_of_monic, squarefree_split
+from affineqe.scalars import (
+    ZERO, Scalar, ScalarError, roots_of_monic, squarefree_split,
+)
 
 
 def test_squarefree_split():
@@ -12,6 +16,43 @@ def test_squarefree_split():
     assert squarefree_split(36) == (6, 1)
     assert squarefree_split(7) == (1, 7)
     assert squarefree_split(12) == (2, 3)
+
+
+def _squarefree_split_reference(n):
+    """Trial division up to sqrt(n): the unbounded reference loop."""
+    s, m, d, r = 1, 1, 2, n
+    while d * d <= r:
+        if r % d == 0:
+            e = 0
+            while r % d == 0:
+                r //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                m *= d
+        d += 1
+    return s, m * r
+
+
+def test_squarefree_split_matches_reference():
+    for n in range(1, 20001):
+        assert squarefree_split(n) == _squarefree_split_reference(n), n
+    rng = random.Random(20260808)
+    for _ in range(2000):
+        n = rng.randrange(1, 10 ** 9)
+        assert squarefree_split(n) == _squarefree_split_reference(n), n
+
+
+@pytest.mark.parametrize("n, want", [
+    (10000000000000061, (1, 10000000000000061)),       # 17-digit prime
+    (100003 ** 2, (100003, 1)),                         # p^2
+    (100003 * 100019, (1, 100003 * 100019)),            # p*q
+    (12 * 100019 ** 2, (2 * 100019, 3)),
+])
+def test_squarefree_split_large_factors_fast(n, want):
+    t0 = time.perf_counter()
+    assert squarefree_split(n) == want
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rational_arithmetic():
@@ -127,3 +168,28 @@ def test_context_caches_are_bounded():
             assert abs(theta.to_complex() - (n + 2) ** (1 / 3)) < 1e-9
     assert len(scalars._CTX_ROOTS) <= scalars._CTX_CACHE_MAX
     assert len(scalars._CTX_REDUCTIONS) <= scalars._CTX_CACHE_MAX
+
+
+_CUBIC = Scalar.algebraic([-2, 0, 0, 1], 0)   # the real cube root of 2
+
+
+@pytest.mark.parametrize("x, foreign", [
+    (Scalar(Fraction(-3, 4)), None),
+    (Scalar(1) + Scalar.sqrt_rational(2), Scalar.sqrt_rational(3)),
+    (_CUBIC + Scalar(0, 1), Scalar.sqrt_rational(2)),
+], ids=["rational", "sqrt-field", "cubic-field"])
+def test_zero_identities(x, foreign):
+    assert x + 0 is x
+    assert 0 + x is x
+    assert x + ZERO is x
+    assert Scalar(0) + x is x
+    for product in (x * 0, 0 * x, x * Scalar(0), ZERO * x):
+        assert product == 0
+        assert product.context is None
+    if foreign is not None:
+        # zero carries no field, but two nonzero values of different
+        # fields still do not combine
+        with pytest.raises(ScalarError):
+            _ = x + foreign
+        with pytest.raises(ScalarError):
+            _ = foreign * x
