@@ -231,10 +231,10 @@ def _cmd_verify(args) -> int:
     phi = _load_phi(args.phi, conn.context)
     points = default_probe_points(_seed(args), args.points)
     f, desc = _pick_solution(conn, mu, points, args.f_index)
-    report = verify_theorem_1_1(conn, phi, mu, f, points)
+    metric = build_extension(conn, phi) if mu == -1 else None
+    report = verify_theorem_1_1(conn, phi, mu, f, points, metric)
     report.metadata["case"] = desc.case_label
-    if mu == -1:
-        metric = build_extension(conn, phi)
+    if metric is not None:
         try:
             residual = conformal_einstein_residual(metric, f, points)
             report.add("conformally_einstein", residual, 1e-8)

@@ -333,8 +333,13 @@ def default_probe_points(seed: int = 0, count: int = 10) -> list:
 # -- theorem verification -----------------------------------------------------
 
 def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
-                       points=None) -> VerificationReport:
+                       points=None,
+                       metric: ExtensionMetric | None = None
+                       ) -> VerificationReport:
     """Check the quasi-Einstein package of the extension metric.
+
+    `metric` is `build_extension(conn, phi)` when the caller has built it
+    already; otherwise it is built here, once the precondition holds.
 
     (i) quasi-Einstein with lambda = 0 and bundle eigenvalue mu/2 (for
     mu != 0 via the equivalent exact linear identity H_g(pi*f) =
@@ -352,7 +357,8 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     report.add("precondition_qe_residual", pre, 0.0)
     if pre:
         return report
-    metric = build_extension(conn, phi)
+    if metric is None:
+        metric = build_extension(conn, phi)
     pack = curvature4(metric)
     w = to_bundle(f)
 

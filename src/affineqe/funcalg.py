@@ -154,6 +154,9 @@ class AnsatzFunction:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("AnsatzFunction is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return (AnsatzFunction, (self.terms, self.context))
+
     # -- algebra -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms

@@ -17,8 +17,10 @@ RationalLike = Union[int, Fraction]
 
 _GQ = tuple  # (Fraction re, Fraction im)
 
-_ZERO_GQ = (Fraction(0), Fraction(0))
-_ONE_GQ = (Fraction(1), Fraction(0))
+_F0 = Fraction(0)
+_new = object.__new__
+_ZERO_GQ = (_F0, _F0)
+_ONE_GQ = (Fraction(1), _F0)
 
 
 class ScalarError(ArithmeticError):
@@ -68,17 +70,26 @@ def _gq_is_zero(a: _GQ) -> bool:
     return not (a[0] or a[1])
 
 
+_TRIAL_DIVISORS = 10 ** 6
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """n = s*s*m with m squarefree, for n > 0.  Returns (s, m).
 
     Trial division runs only up to the cube root of what is left: the
     cofactor then has at most two prime factors (1, p, p*q or p^2), and
-    only p^2 is a square.
+    only p^2 is a square.  It stops at _TRIAL_DIVISORS, which settles every
+    n below 10**18 (and more); a larger cofactor with no prime factor that
+    small raises ScalarError rather than running without bound.
     """
     if n <= 0:
         raise ScalarError("squarefree_split needs a positive integer")
     s, m, d, r = 1, 1, 2, n
     while d * d * d <= r:
+        if d > _TRIAL_DIVISORS:
+            raise ScalarError(
+                f"cannot split the square part of {n}: it has a factor "
+                f"with no prime divisor up to {_TRIAL_DIVISORS}")
         if r % d == 0:
             e = 0
             while r % d == 0:
@@ -227,10 +238,10 @@ class Scalar:
     __slots__ = ("_c", "_ctx", "_h", "_sk")
 
     def __init__(self, value: RationalLike = 0, imag: RationalLike = 0):
-        object.__setattr__(self, "_c", (_gq(value, imag),))
-        object.__setattr__(self, "_ctx", None)
-        object.__setattr__(self, "_h", None)
-        object.__setattr__(self, "_sk", None)
+        self._c = ((_fr(value), _fr(imag) or _F0),)
+        self._ctx = None
+        self._h = None
+        self._sk = None
 
     # -- construction ----------------------------------------------------
     @staticmethod
@@ -242,11 +253,11 @@ class Scalar:
             if all(_gq_is_zero(c) for c in coeffs[1:]):
                 ctx = None
                 coeffs = coeffs[:1]
-        s = object.__new__(Scalar)
-        object.__setattr__(s, "_c", tuple(coeffs))
-        object.__setattr__(s, "_ctx", ctx)
-        object.__setattr__(s, "_h", None)
-        object.__setattr__(s, "_sk", None)
+        s = _new(Scalar)
+        s._c = tuple(coeffs)
+        s._ctx = ctx
+        s._h = None
+        s._sk = None
         return s
 
     @staticmethod
@@ -291,7 +302,10 @@ class Scalar:
         return self._ctx
 
     def is_zero(self) -> bool:
-        return self._ctx is None and _gq_is_zero(self._c[0])
+        if self._ctx is not None:
+            return False
+        re, im = self._c[0]
+        return not (re or im)
 
     def is_rational(self) -> bool:
         return self._ctx is None and self._c[0][1] == 0
@@ -344,9 +358,26 @@ class Scalar:
 
     # Zero never carries a context (`_make` drops it), so the identities
     # below skip only work whose result is known; mixing two different
-    # fields still raises in `_join`.
+    # fields still raises in `_join`.  Most operands are real rationals with
+    # no context: those take one `Fraction` operation (`_rational`), and
+    # other context-free operands go straight to the Q(i) arithmetic.
     def __add__(self, other):
-        other = Scalar.of(other)
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        if self._ctx is None and other._ctx is None:
+            (ar, ai), = self._c
+            (br, bi), = other._c
+            if (ai is _F0 or not ai) and (bi is _F0 or not bi):
+                if not br:
+                    return self
+                if not ar:
+                    return other
+                return _rational(ar + br)
+            if not (br or bi):
+                return self
+            if not (ar or ai):
+                return other
+            return Scalar._make((_gq_add(self._c[0], other._c[0]),), None)
         if other.is_zero():
             return self
         if self.is_zero():
@@ -358,21 +389,43 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._ctx is None:
+            (re, im), = self._c
+            if im is _F0 or not im:
+                return _rational(-re)
         return Scalar._make([_gq_neg(x) for x in self._c], self._ctx)
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        if self._ctx is None and other._ctx is None:
+            (ar, ai), = self._c
+            (br, bi), = other._c
+            if (ai is _F0 or not ai) and (bi is _F0 or not bi):
+                if not br:
+                    return self
+                return _rational(ar - br)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __mul__(self, other):
-        other = Scalar.of(other)
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        if self._ctx is None and other._ctx is None:
+            (ar, ai), = self._c
+            (br, bi), = other._c
+            if (ai is _F0 or not ai) and (bi is _F0 or not bi):
+                if not ar or not br:
+                    return ZERO
+                return _rational(ar * br)
+            if not (ar or ai) or not (br or bi):
+                return ZERO
+            return Scalar._make((_gq_mul(self._c[0], other._c[0]),), None)
         if self.is_zero() or other.is_zero():
             return ZERO
         ctx = Scalar._join(self, other)
-        if ctx is None:
-            return Scalar._make((_gq_mul(self._c[0], other._c[0]),), None)
         a, b = self._lift(ctx), other._lift(ctx)
         d = ctx.degree
         conv = [_ZERO_GQ] * (2 * d - 1)
@@ -398,6 +451,9 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         if self._ctx is None:
+            re, im = self._c[0]
+            if im is _F0 or not im:
+                return _rational(1 / re)
             return Scalar._make((_gq_inv(self._c[0]),), None)
         d = self._ctx.degree
         # columns: coefficients of theta^j * self, solve for u with u*self = 1
@@ -468,6 +524,8 @@ class Scalar:
 
     # -- comparison / hashing ----------------------------------------------
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, (int, Fraction)):
             other = Scalar(other)
         if not isinstance(other, Scalar):
@@ -478,7 +536,7 @@ class Scalar:
         h = self._h
         if h is None:
             h = hash((self._c, self._ctx))
-            object.__setattr__(self, "_h", h)
+            self._h = h
         return h
 
     def sort_key(self):
@@ -490,7 +548,7 @@ class Scalar:
                 ctxkey = (self._ctx.minpoly, self._ctx.root_index)
             flat = tuple(x for c in self._c for x in c)
             key = (len(ctxkey), ctxkey, len(flat), flat)
-            object.__setattr__(self, "_sk", key)
+            self._sk = key
         return key
 
     def __repr__(self):
@@ -511,6 +569,16 @@ class Scalar:
             bits.append(part if k == 0 else f"{part}*{sym}^{k}" if k > 1 else f"{part}*{sym}")
         body = " + ".join(bits) or "0"
         return f"<{body} ; {sym}: {tuple(map(str, self._ctx.minpoly))} root {self._ctx.root_index}>"
+
+
+def _rational(q: Fraction) -> Scalar:
+    """The context-free real rational q, built without `_make`'s checks."""
+    s = _new(Scalar)
+    s._c = ((q, _F0),)
+    s._ctx = None
+    s._h = None
+    s._sk = None
+    return s
 
 
 ZERO = Scalar(0)

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -389,3 +390,41 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
+
+
+def test_large_prime_coefficient_exits_3_fast(capsys, tmp_path):
+    # the discriminant has a 31-digit cofactor with no small prime factor
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"kind": "B", "coeffs": {
+        "111": "1", "122": "2", "221": str(10 ** 30 + 57)}}))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", "--input", str(p), "--mu", "1")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: unsupported input: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mu", ["-1", "1/2"])
+def test_verify_builds_the_extension_once(capsys, tmp_path, monkeypatch, mu):
+    from affineqe import extension
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"kind": "A", "coeffs": {
+        "111": "1", "112": "0", "121": "0", "122": "1", "221": "1",
+        "222": "0"}}))
+    built = []
+    original = extension.build_extension
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "build_extension", spy)
+    monkeypatch.setattr(cli, "build_extension", spy)
+    code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                             f"--mu={mu}")
+    assert code == 0, err
+    names = {c["name"] for c in json.loads(out)["checks"]}
+    assert ("conformally_einstein" in names) == (mu == "-1")
+    assert len(built) == 1

@@ -258,3 +258,22 @@ def test_term_key_is_the_seven_exponent_fields():
     assert Term(Scalar(5)).key() == (Scalar(0), Scalar(0), Scalar(0),
                                      0, 0, 0, 0)
     assert Term(Scalar(5), e1).with_coeff(Scalar(7)) == Term(Scalar(7), e1)
+
+
+def test_pickle_and_copy_round_trip():
+    import copy
+    import pickle
+    theta = Scalar.algebraic([-2, 0, 0, 1], 0)
+    type_b = (monomial(Context.TYPE_B, coeff=theta, pow1=Fraction(1, 3), log=1)
+              + x1_power(Fraction(-2, 5)).scale(Scalar(1, 2)))
+    fourd = monomial(Context.FOURD, coeff=Fraction(3, 4), exp=(1, -2), x2=1,
+                     fiber=(1, 2))
+    point = Point((1.3, 0.7))
+    for f in (exp_linear(1, 2), type_b, fourd):
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f),
+                  copy.copy(f)):
+            assert g == f and hash(g) == hash(f)
+            assert g.context is f.context
+            assert g.derive(1) == f.derive(1)
+            if f.context is not Context.FOURD:
+                assert g.eval(point) == f.eval(point)

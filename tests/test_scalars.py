@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from affineqe import scalars
+from affineqe.funcalg import scalar_to_json
 from affineqe.scalars import (
-    ZERO, Scalar, ScalarError, roots_of_monic, squarefree_split,
+    ZERO, Scalar, ScalarError, _gq, _gq_add, _gq_inv, _gq_mul, _gq_neg,
+    roots_of_monic, squarefree_split,
 )
 
 
@@ -193,3 +195,106 @@ def test_zero_identities(x, foreign):
             _ = x + foreign
         with pytest.raises(ScalarError):
             _ = foreign * x
+
+
+def test_squarefree_split_large_cofactor_raises():
+    # a 31-digit prime: past the trial divisors, and too large to settle
+    t0 = time.perf_counter()
+    with pytest.raises(ScalarError):
+        squarefree_split(10 ** 30 + 57)
+    assert time.perf_counter() - t0 < 5.0
+    # a large n whose cofactor is small still splits
+    assert squarefree_split(2 ** 71 * 3 * 7 ** 4) == (2 ** 35 * 49, 6)
+
+
+def _rationals(seed, count):
+    rng = random.Random(seed)
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7), Fraction(-12)]
+    while len(out) < count:
+        out.append(Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
+    return out
+
+
+def _assert_same_scalar(got, want):
+    assert got._c == want._c
+    assert got._ctx is None and want._ctx is None
+    assert hash(got) == hash(want)
+    assert got.sort_key() == want.sort_key()
+    assert repr(got) == repr(want)
+    assert scalar_to_json(got) == scalar_to_json(want)
+
+
+def test_rational_fast_paths_match_general_path():
+    make = Scalar._make
+    values = _rationals(7, 24)
+    for p in values:
+        a = Scalar(p)
+        _assert_same_scalar(-a, make([_gq_neg(_gq(p))], None))
+        if p:
+            _assert_same_scalar(a.inverse(), make([_gq_inv(_gq(p))], None))
+        for q in values:
+            b = Scalar(q)
+            _assert_same_scalar(a + b, make([_gq_add(_gq(p), _gq(q))], None))
+            _assert_same_scalar(a - b, make([_gq_add(_gq(p), _gq(-q))], None))
+            _assert_same_scalar(a * b, make([_gq_mul(_gq(p), _gq(q))], None))
+            _assert_same_scalar(a + q, a + b)
+            _assert_same_scalar(p - b, a - b)
+            _assert_same_scalar(q * a, a * b)
+
+
+def test_gaussian_and_field_operands_keep_their_values():
+    rng = random.Random(11)
+    gauss = [Scalar(*map(Fraction, (rng.randint(-9, 9), rng.randint(-9, 9))))
+             for _ in range(12)] + [Scalar(0, 1), Scalar(Fraction(2, 3))]
+    for a in gauss:
+        for b in gauss:
+            want = Scalar._make([_gq_add(a._c[0], b._c[0])], None)
+            assert a + b == want and hash(a + b) == hash(want)
+            assert a * b == Scalar._make([_gq_mul(a._c[0], b._c[0])], None)
+            assert (a - b) + b == a
+    r2, r3 = Scalar.sqrt_rational(2), Scalar.sqrt_rational(3)
+    fields = [Scalar(1) + r2, Scalar(0, 1) - r2 * Fraction(1, 3),
+              _CUBIC, _CUBIC * _CUBIC + Scalar(Fraction(-1, 2), 2)]
+    for x in fields:
+        for y in gauss + [x, x * x]:
+            for got, want in ((x + y, x.to_complex() + y.to_complex()),
+                              (y - x, y.to_complex() - x.to_complex()),
+                              (x * y, x.to_complex() * y.to_complex())):
+                assert abs(got.to_complex() - want) < 1e-9 * (1 + abs(want))
+            assert (x + y) * x == x * x + y * x
+        assert x * x.inverse() == 1
+        assert -(-x) == x and (-x).context == x.context
+    assert (Scalar(1) + r2) * (Scalar(1) - r2) == -1
+    assert _CUBIC * _CUBIC * _CUBIC == 2
+    for x, foreign in ((Scalar(1) + r2, r3), (_CUBIC, r2)):
+        for op in (lambda: x + foreign, lambda: x - foreign,
+                   lambda: x * foreign, lambda: foreign * x):
+            with pytest.raises(ScalarError):
+                op()
+
+
+def test_rational_ops_make_one_fraction_operation(monkeypatch):
+    counts = {"mul": 0, "add": 0}
+    mul, add = Fraction.__mul__, Fraction.__add__
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_add(a, b):
+        counts["add"] += 1
+        return add(a, b)
+
+    a, b = Scalar(Fraction(2, 3)), Scalar(Fraction(-5, 7))
+    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
+    monkeypatch.setattr(Fraction, "__add__", counted_add)
+    product = a * b
+    after_mul = dict(counts)
+    total = a + b
+    after_add = dict(counts)
+    monkeypatch.undo()
+    # through _gq_mul: 4 multiplies, an add and a subtract
+    assert after_mul == {"mul": 1, "add": 0}
+    assert after_add == {"mul": 1, "add": 1}
+    assert product == Scalar(Fraction(-10, 21))
+    assert total == Scalar(Fraction(-1, 21))
