@@ -24,7 +24,7 @@ from .extension import (
     conformal_einstein_residual, curvature4, default_probe_points,
     verify_theorem_1_1,
 )
-from .funcalg import Context, DomainError
+from .funcalg import Context, DomainError, input_fraction
 from .qesolver import (
     SolverError, eigenspace, jet_dimension_oracle, realize_real_basis,
 )
@@ -43,7 +43,7 @@ class InputError(ValueError):
 
 def _parse_mu(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return input_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--mu must be an exact rational like -1 or 1/2, "
                          f"got {text!r}: {exc}")

@@ -300,31 +300,49 @@ class AnsatzFunction:
 
 # -- scalar (de)serialization -------------------------------------------------
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
-
-
 def scalar_to_json(s: Scalar):
     if s.is_gaussian_rational():
-        re = s.real_part().as_fraction()
-        im = s.imag_part().as_fraction()
-        return [_fraction_str(re), _fraction_str(im)]
+        return [str(x) for x in s._c[0]]
     ctx = s.context
     lifted = s._lift(ctx)  # tuple of (re, im) Fractions
     return {
-        "c": [[_fraction_str(re), _fraction_str(im)] for re, im in lifted],
-        "min": [_fraction_str(c) for c in ctx.minpoly],
+        "c": [[str(re), str(im)] for re, im in lifted],
+        "min": [str(c) for c in ctx.minpoly],
         "root": ctx.root_index,
     }
 
 
+MAX_INPUT_DIGITS = 100  # bounds the work of every later factorization
+
+
+def input_fraction(x) -> Fraction:
+    """Fraction(x) for a number read from a file or the command line,
+    refusing more than MAX_INPUT_DIGITS digits in its numerator or
+    denominator.  A decimal exponent is read first, so that Fraction never
+    expands one that, for any nonzero mantissa, makes the value too long."""
+    too_long = False
+    if isinstance(x, str):
+        try:
+            exponent = int(x.lower().partition("e")[2])
+            too_long = abs(exponent) > MAX_INPUT_DIGITS + len(x)
+        except ValueError:  # none, or a malformed one that Fraction reports
+            pass
+    if not too_long:
+        q = Fraction(x)
+        if max(abs(q.numerator), q.denominator) < 10 ** MAX_INPUT_DIGITS:
+            return q
+    raise ValueError(f"a number has more than {MAX_INPUT_DIGITS} digits in "
+                     f"its numerator or denominator")
+
+
 def scalar_from_json(data) -> Scalar:
     if isinstance(data, (int, str)):
-        return Scalar(Fraction(data))
+        return Scalar(input_fraction(data))
     if isinstance(data, list):
-        return Scalar(Fraction(data[0]), Fraction(data[1]))
-    coeffs = [(Fraction(re), Fraction(im)) for re, im in data["c"]]
-    minpoly = [Fraction(c) for c in data["min"]]
+        return Scalar(input_fraction(data[0]), input_fraction(data[1]))
+    coeffs = [(input_fraction(re), input_fraction(im))
+              for re, im in data["c"]]
+    minpoly = [input_fraction(c) for c in data["min"]]
     root = int(data["root"])
     if len(minpoly) == 3:
         theta = Scalar.sqrt_rational(-minpoly[0])  # canonical x^2 - m
@@ -571,14 +589,9 @@ def rank_basis(fs: Sequence[AnsatzFunction]) -> tuple[int, list[AnsatzFunction]]
                     row[k2] = row.get(k2, Scalar(0)) - factor * v2
         row = {k: v for k, v in row.items() if not v.is_zero()}
         if row:
-            lead_key = sorted(row.keys(), key=_key_sort)[0]
+            lead_key = next(iter(row))  # any nonzero entry is a pivot
             inv = row[lead_key].inverse()
             prow = {k: v * inv for k, v in row.items()}
             pivots.append((lead_key, prow))
             basis.append(f)
     return len(basis), basis
-
-
-def _key_sort(key):
-    e1, e2, p, l, d, f1, f2 = key
-    return (e1.sort_key(), e2.sort_key(), p.sort_key(), l, d, f1, f2)

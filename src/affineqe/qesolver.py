@@ -346,101 +346,50 @@ def _quadratic_exponents(gamma222: Scalar, mu_rho22: Scalar):
 
 
 def _conic_pairs(conn: AffineConnection2, r):
-    """Common zeros of the three exponential conics for mu = -1, rank 2."""
+    """Common zeros of the three exponential conics for mu = -1, rank 2.
+
+    For C11^2 = b != 0, the first conic gives alpha2 = (a1^2 - a a1 + r11)/b,
+    the second then becomes the monic cubic p1(a1) = 0, and a root of p1 is
+    kept when the third conic vanishes there.  One verdict per field is
+    enough: after that substitution the third conic is a rational
+    polynomial in a1, so it vanishes at every conjugate of a root or at
+    none, and p1 has at most one irreducible factor of degree > 1.
+    """
     a, b = conn.coefficient(1, 1, 1), conn.coefficient(1, 1, 2)
     c, d = conn.coefficient(1, 2, 1), conn.coefficient(1, 2, 2)
     e, f = conn.coefficient(2, 2, 1), conn.coefficient(2, 2, 2)
     r11, r12, r22 = r[0][0], r[0][1], r[1][1]
-    for v in (a, b, c, d, e, f, r11, r12, r22):
-        if not v.is_rational():
-            raise SolverError("conic solver needs rational data")
-    af, bf = a.as_fraction(), b.as_fraction()
-    cf, df = c.as_fraction(), d.as_fraction()
-    ef, ff = e.as_fraction(), f.as_fraction()
-    r11f, r12f, r22f = r11.as_fraction(), r12.as_fraction(), r22.as_fraction()
+    if not all(v.is_rational() for v in (a, b, c, d, e, f, r11, r12, r22)):
+        raise SolverError("conic solver needs rational data")
+    af, bf, cf, df, r11f, r12f = (v.as_fraction()
+                                  for v in (a, b, c, d, r11, r12))
     pairs = []
     if bf != 0:
-        # alpha2 = (a1^2 - a a1 + r11)/b; eliminate from Q12*b and Q22*b^2
         # Q12*b = a1*(a1^2 - a a1 + r11) - c b a1 - d(a1^2 - a a1 + r11) + r12 b
         p1 = [r11f * (-df) + r12f * bf,
               r11f - cf * bf + df * af,
               -af - df,
               Fraction(1)]
-        # Q22*b^2 = (a1^2 - a a1 + r11)^2 - e b^2 a1 - f b (...) + r22 b^2
-        q = [r11f, -af, Fraction(1)]  # a1^2 - a*a1 + r11
-        sq = _poly_mul(q, q)
-        p2 = _poly_sub(sq, [Fraction(0), ef * bf * bf])
-        p2 = _poly_sub(p2, [x * ff * bf for x in q])
-        p2 = _poly_add(p2, [r22f * bf * bf])
-        g = _poly_gcd(p1, p2)
-        if len(g) - 1 < 1:
-            raise SolverError("conic system has no common exponent")
-        for a1 in roots_of_monic(g):
+        verdicts = {}  # minimal polynomial (or the root itself) -> kept
+        for a1 in roots_of_monic(p1):
             a2 = (a1 * a1 - a * a1 + r11) / b
-            pairs.append((a1, a2))
+            field = a1 if a1.context is None else a1.context.minpoly
+            if field not in verdicts:
+                verdicts[field] = (a2 * a2 - e * a1 - f * a2 + r22).is_zero()
+            if verdicts[field]:
+                pairs.append((a1, a2))
+        if not pairs:
+            raise SolverError("conic system has no common exponent")
     else:
         for a1 in roots_of_monic([r11f, -af, Fraction(1)]):
             if a1 != d:
                 a2 = (c * a1 - r12) / (a1 - d)
                 if (a2 * a2 - e * a1 - f * a2 + r22).is_zero():
                     pairs.append((a1, a2))
-            else:
-                if not (c * a1 - r12).is_zero():
-                    continue
-                for a2 in _quadratic_roots(-f, r22 - e * a1,
-                                           "conic solver needs rational data"):
-                    pairs.append((a1, a2))
-    # dedupe exactly
-    out = []
-    for p in pairs:
-        if p not in out:
-            out.append(p)
-    return out
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-            for i in range(n)]
-
-
-def _poly_sub(p, q):
-    return _poly_add(p, [-x for x in q])
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mod(p, q):
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    while len(p) >= len(q) and not (len(p) == 1 and p[0] == 0):
-        factor = p[-1] / q[-1]
-        shift = len(p) - len(q)
-        for i, x in enumerate(q):
-            p[i + shift] -= factor * x
-        p = _poly_trim(p)
-        if len(p) == 1 and p[0] == 0:
-            break
-    return p
-
-
-def _poly_gcd(p, q):
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    while not (len(q) == 1 and q[0] == 0):
-        p, q = q, _poly_mod(p, q)
-    lead = p[-1]
-    return [x / lead for x in p]
+            elif (c * a1 - r12).is_zero():
+                pairs.extend((a1, a2) for a2 in _quadratic_roots(
+                    -f, r22 - e * a1, "conic solver needs rational data"))
+    return list(dict.fromkeys(pairs))  # exact dedupe, first come
 
 
 def _eigenspace_a(conn: AffineConnection2, mu: Fraction):

@@ -80,10 +80,14 @@ def squarefree_split(n: int) -> tuple[int, int]:
     cofactor then has at most two prime factors (1, p, p*q or p^2), and
     only p^2 is a square.  It stops at _TRIAL_DIVISORS, which settles every
     n below 10**18 (and more); a larger cofactor with no prime factor that
-    small raises ScalarError rather than running without bound.
+    small raises ScalarError rather than running without bound.  A perfect
+    square (a quadratic with rational roots) needs no division at all.
     """
     if n <= 0:
         raise ScalarError("squarefree_split needs a positive integer")
+    root = math.isqrt(n)
+    if root * root == n:
+        return root, 1
     s, m, d, r = 1, 1, 2, n
     while d * d * d <= r:
         if d > _TRIAL_DIVISORS:
@@ -293,6 +297,8 @@ class Scalar:
         poly = tuple(_fr(c) for c in minpoly)
         if len(poly) != 4 or poly[3] != 1:
             raise ScalarError("algebraic() expects a monic cubic (4 ascending coeffs)")
+        if root_index not in (0, 1, 2):
+            raise ScalarError(f"a cubic has roots 0, 1 and 2, not {root_index}")
         ctx = AlgebraicContext(poly, root_index)
         return Scalar._make((_ZERO_GQ, _ONE_GQ, _ZERO_GQ), ctx)
 
@@ -512,16 +518,6 @@ class Scalar:
         new_ctx = AlgebraicContext(self._ctx.minpoly, self._ctx.conjugate_index())
         return Scalar._make(coeffs, new_ctx)
 
-    def real_part(self) -> "Scalar":
-        if self._ctx is not None and not self._ctx.root_is_real():
-            raise ScalarError("real_part undefined inside a complex-root extension")
-        return Scalar._make([(c[0], Fraction(0)) for c in self._c], self._ctx)
-
-    def imag_part(self) -> "Scalar":
-        if self._ctx is not None and not self._ctx.root_is_real():
-            raise ScalarError("imag_part undefined inside a complex-root extension")
-        return Scalar._make([(c[1], Fraction(0)) for c in self._c], self._ctx)
-
     # -- comparison / hashing ----------------------------------------------
     def __eq__(self, other):
         if self is other:
@@ -584,65 +580,50 @@ def _rational(q: Fraction) -> Scalar:
 ZERO = Scalar(0)
 
 
-def rational_roots_of_monic(poly: Sequence[Fraction]) -> list[Fraction]:
-    """Rational roots (with multiplicity) of a monic rational polynomial."""
-    coeffs = [Fraction(c) for c in poly]
-    roots: list[Fraction] = []
-    while len(coeffs) > 1:
-        if coeffs[0] == 0:
-            roots.append(Fraction(0))
-            coeffs = coeffs[1:]
-            continue
-        from math import lcm
+def _rational_order(q: Fraction):
+    """The order in which a divisor search by the rational root theorem
+    meets rational roots: denominator, |numerator|, positive first."""
+    return (q.denominator, abs(q.numerator), q < 0)
 
-        scale = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else 1
-        ints = [int(c * scale) for c in coeffs]
-        # candidate p/q: p | ints[0], q | ints[-1]
-        found = None
-        lead, const = ints[-1], ints[0]
 
-        def divisors(n):
-            n = abs(n)
-            out = []
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    out.extend([d, n // d])
-                d += 1
-            return sorted(set(out))
+def _integer_roots_of_cubic(b: int, c: int, d: int) -> set[int]:
+    """Integer roots of y^3 + b y^2 + c y + d, in O(log m) steps.
 
-        for q in divisors(lead):
-            for p in divisors(const):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(coeffs):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        # synthetic division by (x - found)
-        deg = len(coeffs) - 1
-        out = [Fraction(0)] * deg
-        out[deg - 1] = coeffs[deg]
-        for k in range(deg - 2, -1, -1):
-            out[k] = coeffs[k + 1] + found * out[k + 1]
-        coeffs = out
-    return roots
+    Every root lies in [-m, m], m = 1 + max(|b|, |c|, |d|).  The floors k1,
+    k2 of the critical points (-b -+ sqrt(b^2 - 3c))/3 cut it into pieces
+    on which the cubic is strictly monotone, so bisection finds the one
+    root each piece can hold.
+    """
+    def g(y):
+        return ((y + b) * y + c) * y + d
+
+    m = 1 + max(abs(b), abs(c), abs(d))
+    pieces = [(-m, m, 1)]
+    disc = b * b - 3 * c
+    if disc > 0:
+        s = math.isqrt(disc)  # floor(x / 3) = floor(x) // 3 for real x
+        k1, k2 = (-b - s - (s * s != disc)) // 3, (s - b) // 3
+        pieces = [(-m, k1, 1), (k1 + 1, k2, -1), (k2 + 1, m, 1)]
+    found = set()
+    for lo, hi, sign in pieces:
+        while lo < hi:  # the first y in [lo, hi] with sign * g(y) >= 0
+            mid = (lo + hi) // 2
+            if sign * g(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if g(lo) == 0:
+            found.add(lo)
+    return found
 
 
 def roots_of_monic(poly: Sequence) -> list[Scalar]:
     """Exact roots of a monic rational polynomial of degree 1..3, as Scalars.
 
-    Rational roots come out rational; a leftover quadratic yields a conjugate
-    pair in Q(i)(sqrt m); a rational-root-free cubic yields three Scalars in
-    cubic contexts sharing one minimal polynomial.
+    Rational roots come out rational, the first in `_rational_order` first;
+    a quadratic without them yields a conjugate pair in Q(i)(sqrt m); a
+    cubic without them yields three Scalars in cubic contexts sharing one
+    minimal polynomial.
     """
     coeffs = [_fr(c) for c in poly]
     if coeffs[-1] != 1:
@@ -650,24 +631,24 @@ def roots_of_monic(poly: Sequence) -> list[Scalar]:
     deg = len(coeffs) - 1
     if deg == 1:
         return [Scalar(-coeffs[0])]
-    rational = rational_roots_of_monic(coeffs)
     if deg == 2:
-        if rational:
-            b = coeffs[1]
-            r0 = rational[0]
+        c, b = coeffs[0], coeffs[1]
+        root = Scalar.sqrt_rational(b * b - 4 * c)
+        if root.is_rational():
+            w = root.as_fraction()
+            r0 = min((-b + w) / 2, (-b - w) / 2, key=_rational_order)
             return [Scalar(r0), Scalar(-b - r0)]
-        b, c = coeffs[1], coeffs[0]
-        disc = b * b - 4 * c
-        root = Scalar.sqrt_rational(disc)
         half = Fraction(1, 2)
         return [(Scalar(-b) + root) * half, (Scalar(-b) - root) * half]
     if deg == 3:
-        if rational:
-            r0 = rational[0]
-            # deflate
-            b = coeffs[2] + r0
-            c = coeffs[1] + r0 * b
-            return [Scalar(r0)] + roots_of_monic([c, b, Fraction(1)])
-        ctx_poly = tuple(coeffs)
-        return [Scalar.algebraic(ctx_poly, k) for k in range(3)]
+        d, c, b = coeffs[0], coeffs[1], coeffs[2]
+        # x = y / s makes the cubic a monic integer one in y
+        s = math.lcm(b.denominator, c.denominator, d.denominator)
+        ys = _integer_roots_of_cubic(int(b * s), int(c * s * s),
+                                     int(d * s * s * s))
+        if ys:
+            r0 = min((Fraction(y, s) for y in ys), key=_rational_order)
+            b = b + r0
+            return [Scalar(r0)] + roots_of_monic([c + r0 * b, b, Fraction(1)])
+        return [Scalar.algebraic(tuple(coeffs), k) for k in range(3)]
     raise ScalarError("roots_of_monic supports degree <= 3")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -221,8 +222,10 @@ def test_env_seed_override(tmp_path, hyperbolic_path, monkeypatch, capsys):
     '{"kind": "A", "coeffs": [1, 2]}',
     '[1, 2]',
     '{"kind": "A", "coeffs": {"111": 0.5}}',
+    '{"kind": "A", "coeffs": {"111": {"c": [["0", "0"], ["1", "0"], '
+    '["0", "0"]], "min": ["-2", "0", "0", "1"], "root": 7}}}',
 ], ids=["bad_kind", "zero_denominator", "coeffs_list", "top_level_list",
-        "float_coeff"])
+        "float_coeff", "cubic_root_index"])
 def test_bad_input_exit_2(capsys, tmp_path, text):
     p = tmp_path / "broken.json"
     p.write_text(text)
@@ -428,3 +431,70 @@ def test_verify_builds_the_extension_once(capsys, tmp_path, monkeypatch, mu):
     names = {c["name"] for c in json.loads(out)["checks"]}
     assert ("conformally_einstein" in names) == (mu == "-1")
     assert len(built) == 1
+
+
+def run_cli_process(*argv, timeout):
+    """Run the CLI in a child process, so that a hang fails the test."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "affineqe.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("mu", ["1", "1/2"])
+def test_large_type_a_coefficient_exits_3_fast(tmp_path, mu):
+    # the exponent quadratic's discriminant has a 31-digit cofactor: its
+    # roots need no divisor search, and the square part cannot be split
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"kind": "A", "coeffs": {
+        "112": str(10 ** 30 + 57), "222": "3"}}))
+    t0 = time.perf_counter()
+    proc = run_cli_process("solve", "--input", str(p), f"--mu={mu}",
+                           timeout=5)
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: unsupported input: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_huge_exponent_coefficient_exits_2(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"kind": "A", "coeffs": {
+        "111": "1e-999999", "222": "3"}}))
+    proc = run_cli_process("solve", "--input", str(p), "--mu", "1",
+                           timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed connection file")
+    assert f"more than {funcalg.MAX_INPUT_DIGITS} digits" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mu", ["1e-999999", "1e-99999999"])
+def test_huge_exponent_mu_exits_2(tmp_path, mu):
+    conn_path = tmp_path / "a2.json"
+    save_connection(A2, conn_path)
+    proc = run_cli_process("solve", "--input", str(conn_path), f"--mu={mu}",
+                           timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --mu must be an exact rational")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_huge_exponent_phi_exits_2(tmp_path):
+    conn_path = tmp_path / "a2.json"
+    save_connection(A2, conn_path)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps({"phi11": [{"coeff": "1e-999999",
+                                        "exp": ["0", "0"]}],
+                             "phi12": [], "phi22": []}))
+    proc = run_cli_process("verify", "--input", str(conn_path), "--mu", "1",
+                           "--phi", str(p), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed deformation file")
+    assert len(proc.stderr.splitlines()) == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,22 @@ def test_pickle_and_copy_round_trip():
             assert g.derive(1) == f.derive(1)
             if f.context is not Context.FOURD:
                 assert g.eval(point) == f.eval(point)
+
+
+def test_scalar_from_json_digit_cap():
+    from affineqe.funcalg import MAX_INPUT_DIGITS, scalar_from_json
+
+    widest = 10 ** MAX_INPUT_DIGITS - 1
+    assert scalar_from_json(str(widest)) == Scalar(widest)
+    assert scalar_from_json(f"-1/{widest}") == Scalar(Fraction(-1, widest))
+    assert scalar_from_json("25e-2") == Scalar(Fraction(1, 4))
+    for text in (str(widest + 1), f"1/{widest + 1}", [0, widest + 1],
+                 {"c": [["0", "0"], ["1e-100", "0"]], "min": ["-2", "0", "1"],
+                  "root": 1}):
+        with pytest.raises(ValueError, match="digits"):
+            scalar_from_json(text)
+    # the exponent is refused before Fraction expands 10**9999999
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="digits"):
+        scalar_from_json("1e-9999999")
+    assert time.perf_counter() - t0 < 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -566,3 +567,42 @@ def test_solve_span_certifies(monkeypatch):
 def test_oracle_matches_eigenspace(conn, mu, dim):
     assert jet_dimension_oracle(conn, mu) == dim
     assert eigenspace(conn, mu).dim == dim
+
+
+# sha256 of `_conic_pairs` (values, order and algebraic contexts) over 200
+# seeded Type A connections with rank-2 symmetric Ricci tensor, each
+# coefficient k/d with k in [-6, 6] and d in {1, 2, 3}: a change to the root
+# finder that alters any exponent, its order or its field fails here.
+CONIC_PAIRS_SHA256 = (
+    "3e805d58c239725853e88549608aae5dd74c28738f16009ca519f8c215b197f8")
+
+
+def test_conic_pairs_pinned():
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    seen = 0
+    fields = set()
+    while seen < 200:
+        conn = AffineConnection2("A", [Fraction(rng.randint(-6, 6),
+                                                rng.randint(1, 3))
+                                       for _ in range(6)])
+        ric = ricci(conn)
+        if ric.is_flat or ric.rank_s != 2:
+            continue
+        pairs = qesolver._conic_pairs(conn, ric.r_s)
+        fields.update(a1.context.degree for a1, _ in pairs if a1.context)
+        digest.update(repr(pairs).encode() + b"\n")
+        seen += 1
+    assert fields == {2, 3}
+    assert digest.hexdigest() == CONIC_PAIRS_SHA256
+
+
+def test_conic_pairs_rejects_roots_off_the_third_conic():
+    # shifting rho_22 by 1 shifts the third conic by 1 and leaves the cubic
+    # from the first two unchanged: no root of it survives
+    conn = AffineConnection2.type_a(c111=2, c112=1, c221=1)
+    r = ricci(conn).r_s
+    assert len(qesolver._conic_pairs(conn, r)) == 3
+    shifted = (r[0], (r[1][0], r[1][1] + 1))
+    with pytest.raises(SolverError, match="no common exponent"):
+        qesolver._conic_pairs(conn, shifted)

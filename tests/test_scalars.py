@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -298,3 +299,123 @@ def test_rational_ops_make_one_fraction_operation(monkeypatch):
     assert after_add == {"mul": 1, "add": 1}
     assert product == Scalar(Fraction(-10, 21))
     assert total == Scalar(Fraction(-1, 21))
+
+
+def _divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.extend([d, n // d])
+        d += 1
+    return sorted(set(out))
+
+
+def _rational_roots_reference(coeffs):
+    """Rational roots by the rational root theorem's divisor search, with
+    multiplicity, in the order the search meets them: the unbounded
+    reference for `roots_of_monic`."""
+    coeffs = [Fraction(c) for c in coeffs]
+    roots = []
+    while len(coeffs) > 1:
+        if coeffs[0] == 0:
+            roots.append(Fraction(0))
+            coeffs = coeffs[1:]
+            continue
+        scale = math.lcm(*[c.denominator for c in coeffs])
+        ints = [int(c * scale) for c in coeffs]
+        found = next(
+            (cand for q in _divisors(ints[-1]) for p in _divisors(ints[0])
+             for cand in (Fraction(p, q), Fraction(-p, q))
+             if sum(c * cand ** k for k, c in enumerate(coeffs)) == 0),
+            None)
+        if found is None:
+            break
+        roots.append(found)
+        deg = len(coeffs) - 1
+        out = [Fraction(0)] * deg
+        out[deg - 1] = coeffs[deg]
+        for k in range(deg - 2, -1, -1):
+            out[k] = coeffs[k + 1] + found * out[k + 1]
+        coeffs = out
+    return roots
+
+
+def _roots_of_monic_reference(coeffs):
+    rational = _rational_roots_reference(coeffs)
+    if len(coeffs) == 3:
+        c, b = coeffs[0], coeffs[1]
+        if rational:
+            return [Scalar(rational[0]), Scalar(-b - rational[0])]
+        root = Scalar.sqrt_rational(b * b - 4 * c)
+        half = Fraction(1, 2)
+        return [(Scalar(-b) + root) * half, (Scalar(-b) - root) * half]
+    if rational:
+        r0 = rational[0]
+        b = coeffs[2] + r0
+        return [Scalar(r0)] + _roots_of_monic_reference(
+            [coeffs[1] + r0 * b, b, Fraction(1)])
+    return [Scalar.algebraic(tuple(coeffs), k) for k in range(3)]
+
+
+def _times_linear(poly, r):
+    """poly * (x - r), ascending coefficients."""
+    out = [Fraction(0)] + poly
+    for j in range(len(poly)):
+        out[j] -= r * poly[j]
+    return out
+
+
+def _monic_from_roots(roots):
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = _times_linear(poly, r)
+    return poly
+
+
+def test_roots_of_monic_matches_divisor_search():
+    rng = random.Random(20261018)
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    polys = [[Fraction(0), Fraction(0), Fraction(1)],          # 0, 0
+             [Fraction(0)] * 3 + [Fraction(1)],                  # 0, 0, 0
+             [Fraction(-1), Fraction(0), Fraction(-2), Fraction(1)],
+             _monic_from_roots([Fraction(1, 2)] * 3)]
+    for _ in range(600):
+        polys.append([q(), q(), Fraction(1)])
+        polys.append([q(), q(), q(), Fraction(1)])
+        roots = [q() for _ in range(rng.choice((2, 3)))]
+        if rng.random() < 0.3:
+            roots[-1] = roots[0]
+        if rng.random() < 0.2:
+            roots[0] = Fraction(0)
+        polys.append(_monic_from_roots(roots))
+        # a rational root times a random, often irreducible, quadratic
+        polys.append(_times_linear([q(), q(), Fraction(1)], q()))
+    irreducible = 0
+    for poly in polys:
+        got = roots_of_monic(poly)
+        want = _roots_of_monic_reference(poly)
+        assert [(repr(r), r.context) for r in got] == [
+            (repr(r), r.context) for r in want], poly
+        irreducible += got[0].context is not None and len(poly) == 4
+    assert irreducible > 100
+
+
+def test_large_rational_roots_are_fast():
+    # (x - r)(x^2 + x + 1): the divisor search would run to sqrt(r)
+    r = 10 ** 20 + 39
+    t0 = time.perf_counter()
+    roots = roots_of_monic([-r, 1 - r, 1 - r, 1])
+    assert time.perf_counter() - t0 < 1.0
+    assert roots[0] == Scalar(r)
+    assert roots[1] + roots[2] == -1 and roots[1] * roots[2] == 1
+    assert roots[1].conjugate() == roots[2]
+    # (x - r)(x + r/3): a square discriminant with large prime factors
+    t0 = time.perf_counter()
+    roots = roots_of_monic(_monic_from_roots([Fraction(r), Fraction(-r, 3)]))
+    assert time.perf_counter() - t0 < 1.0
+    assert roots == [Scalar(r), Scalar(Fraction(-r, 3))]
