@@ -1,4 +1,7 @@
-"""Small exact linear algebra over Scalar fields (matrices as nested lists)."""
+"""Small exact linear algebra over Scalar fields: dense matrices are nested
+lists, and a sparse row is a {column: Scalar} dict (absent entries are zero).
+Every elimination is `add_row`, which never touches a column its row lacks,
+so columns that share no row (distinct exponentials) never interact."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -28,92 +31,91 @@ def matsub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+def sparse(matrix) -> list[dict]:
+    """The rows of a dense matrix as sparse rows."""
+    return [{j: v for j, v in enumerate(row) if not v.is_zero()}
+            for row in matrix]
+
+
+def vecmat(row: dict, m) -> dict:
+    """Sparse row times dense matrix (a sum that cancels stays as a zero)."""
+    out: dict = {}
+    for k, x in row.items():
+        for j, y in enumerate(m[k]):
+            if not y.is_zero():
+                v = out.get(j)
+                out[j] = x * y if v is None else v + x * y
+    return out
+
+
+def _subtract(row: dict, f: Scalar, prow: dict) -> None:
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for k, w in prow.items():
+        v = row.get(k)
+        if v is None:
+            row[k] = -(f * w)
+        else:
+            v = v - f * w
+            if v.is_zero():
+                del row[k]
+            else:
+                row[k] = v
+
+
+def add_row(echelon: dict, row: dict) -> bool:
+    """Add one sparse row to a reduced row echelon form, in place, exactly.
+
+    `echelon` maps each pivot column to its row, which is 1 there and 0 in
+    every other pivot column; the pivot of a row is its smallest column.
+    Returns True when the row adds a pivot (is independent of `echelon`).
+    `row` itself is not changed.
+    """
+    row = {k: v for k, v in row.items() if not v.is_zero()}
+    # pivot rows are 0 in each other's pivot columns, so these entries are
+    # the coefficients to clear, whatever the order
+    for col in [c for c in row if c in echelon]:
+        _subtract(row, row[col], echelon[col])
+    if not row:
+        return False
+    lead = min(row)
+    inv = row[lead].inverse()
+    prow = {k: v * inv for k, v in row.items()}
+    for existing in echelon.values():
+        f = existing.get(lead)
+        if f is not None:
+            _subtract(existing, f, prow)
+    echelon[lead] = prow
+    return True
+
+
+def row_basis(rows: Sequence[dict]) -> dict:
+    """Reduced row echelon form of the sparse rows' span, as in `add_row`."""
+    echelon: dict = {}
+    for row in rows:
+        add_row(echelon, row)
+    return echelon
+
+
+def rank(rows: Sequence[dict]) -> int:
     return len(row_basis(rows))
 
 
-def row_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Reduced row echelon basis of the row space (pivots normalized to 1,
-    rows ordered by pivot column), exact.  Zero entries are skipped."""
-    pivots: list[tuple[int, list[Scalar]]] = []
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots:
-            f = row[col]
-            if not f.is_zero():
-                row = [v if w.is_zero() else v - f * w
-                       for v, w in zip(row, prow)]
-        lead = next((j for j, v in enumerate(row) if not v.is_zero()), None)
-        if lead is not None:
-            inv = row[lead].inverse()
-            prow = [v if v.is_zero() else v * inv for v in row]
-            for col, existing in pivots:
-                f = existing[lead]
-                if not f.is_zero():
-                    existing[:] = [v if w.is_zero() else v - f * w
-                                   for v, w in zip(existing, prow)]
-            pivots.append((lead, prow))
-    pivots.sort(key=lambda p: p[0])
-    return [p[1] for p in pivots]
-
-
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Exact kernel basis of the stacked row constraints (ncols unknowns)."""
-    ech = row_basis(rows)
-    pivot_cols = []
-    for row in ech:
-        pivot_cols.append(next(j for j, v in enumerate(row) if not v.is_zero()))
-    free_cols = [j for j in range(ncols) if j not in pivot_cols]
+def nullspace(rows: Sequence[dict], ncols: int) -> list[list[Scalar]]:
+    """Exact kernel of the sparse rows on ncols unknowns: one dense vector
+    per free column, in column order, 1 there and 0 at the other free ones."""
+    echelon = row_basis(rows)
     basis = []
-    for fc in free_cols:
-        vec = [Scalar(0)] * ncols
-        vec[fc] = Scalar(1)
-        for row, pc in zip(ech, pivot_cols):
-            vec[pc] = -row[fc]
+    for free in range(ncols):
+        if free in echelon:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = Scalar(1)
+        for col, prow in echelon.items():
+            v = prow.get(free)
+            if v is not None:
+                vec[col] = -v
         basis.append(vec)
     return basis
-
-
-def block_nullspace(columns: Sequence[dict]) -> list[list[Scalar]]:
-    """`nullspace` of the matrix whose column j has the entries columns[j]
-    ({row key: Scalar}; absent keys are zero), computed block by block.
-
-    Columns that share no row never interact, so each connected block of
-    columns is eliminated on its own.  The reduced echelon form depends only
-    on the row space and the column order, so the kernel vectors are exactly
-    those of the whole matrix, returned in the same (free-column) order.
-    """
-    n = len(columns)
-    parent = list(range(n))
-
-    def root(j):
-        while parent[j] != j:
-            j = parent[j]
-        return j
-
-    first: dict = {}
-    for j, col in enumerate(columns):
-        for key in col:
-            a, b = root(first.setdefault(key, j)), root(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks: dict = {}
-    for j in range(n):
-        blocks.setdefault(root(j), []).append(j)
-    found = []
-    for cols in blocks.values():
-        keys = dict.fromkeys(key for j in cols for key in columns[j])
-        rows = [[columns[j].get(key, ZERO) for j in cols] for key in keys]
-        for vec in nullspace(rows, len(cols)):
-            # a reduced row is zero left of its pivot, so the last nonzero
-            # entry of a kernel vector is its free column
-            free = max(k for k, v in enumerate(vec) if not v.is_zero())
-            full = [ZERO] * n
-            for j, v in zip(cols, vec):
-                full[j] = v
-            found.append((cols[free], full))
-    found.sort(key=lambda p: p[0])
-    return [vec for _, vec in found]
 
 
 def mat_inverse_2x2(m):

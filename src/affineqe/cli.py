@@ -76,7 +76,7 @@ def _load_phi(path: str | None, context: Context) -> DeformationTensor:
     except OSError as exc:
         raise InputError(f"cannot read deformation file {path}: "
                          f"{exc.strerror or exc}")
-    except (json.JSONDecodeError, ArithmeticError, KeyError, ValueError,
+    except (json.JSONDecodeError, ArithmeticError, LookupError, ValueError,
             TypeError) as exc:
         raise InputError(f"malformed deformation file {path}: {exc}")
 

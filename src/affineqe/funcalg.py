@@ -29,7 +29,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import Scalar, ZERO
+from . import _linalg
+from .scalars import Scalar, ZERO, roots_of_monic
 
 
 class FunctionAlgebraError(ValueError):
@@ -344,10 +345,21 @@ def scalar_from_json(data) -> Scalar:
               for re, im in data["c"]]
     minpoly = [input_fraction(c) for c in data["min"]]
     root = int(data["root"])
+    if len(minpoly) not in (3, 4) or minpoly[-1] != 1:
+        raise ValueError("'min' must be a monic quadratic or cubic, "
+                         "ascending")
+    if not 0 <= root < len(minpoly) - 1:
+        raise ValueError(f"'root' must be an index below {len(minpoly) - 1}")
     if len(minpoly) == 3:
-        theta = Scalar.sqrt_rational(-minpoly[0])  # canonical x^2 - m
+        # the roots ascending when real, positive imaginary part second
+        c, b = minpoly[0], minpoly[1]
+        theta = (Scalar(-b) + Scalar.sqrt_rational(b * b - 4 * c)
+                 * (2 * root - 1)) * Fraction(1, 2)
     else:
-        theta = Scalar.algebraic(minpoly, root)
+        roots = roots_of_monic(minpoly)
+        if roots[0].is_rational():
+            raise ValueError("a cubic 'min' must have no rational root")
+        theta = roots[root]
     acc = Scalar(0)
     power = Scalar(1)
     for re, im in coeffs:
@@ -569,7 +581,9 @@ def rank_basis(fs: Sequence[AnsatzFunction]) -> tuple[int, list[AnsatzFunction]]
     """Exact rank of span(fs) and a maximal independent sublist, first come.
 
     Distinct term keys are linearly independent functions, so the rank is the
-    rank of the coefficient matrix over the exact scalar field.
+    rank of the coefficient matrix over the exact scalar field.  Its columns
+    are the term keys, numbered by first appearance, and a function is kept
+    when its row adds a pivot.
     """
     fs = list(fs)
     if not fs:
@@ -578,20 +592,12 @@ def rank_basis(fs: Sequence[AnsatzFunction]) -> tuple[int, list[AnsatzFunction]]
     for f in fs:
         if f.context is not context:
             raise FunctionAlgebraError("mixed contexts")
-    pivots: list[tuple] = []  # (key, normalized row dict)
+    columns: dict = {}
+    echelon: dict = {}
     basis = []
     for f in fs:
-        row = {t.key(): t.coeff for t in f.terms}
-        for key, prow in pivots:
-            if key in row and not row[key].is_zero():
-                factor = row[key]
-                for k2, v2 in prow.items():
-                    row[k2] = row.get(k2, Scalar(0)) - factor * v2
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        if row:
-            lead_key = next(iter(row))  # any nonzero entry is a pivot
-            inv = row[lead_key].inverse()
-            prow = {k: v * inv for k, v in row.items()}
-            pivots.append((lead_key, prow))
+        row = {columns.setdefault(t.key(), len(columns)): t.coeff
+               for t in f.terms}
+        if _linalg.add_row(echelon, row):
             basis.append(f)
     return len(basis), basis

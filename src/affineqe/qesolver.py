@@ -4,10 +4,11 @@ The classifier (`eigenspace`) walks the closed-form case tree for Type A and
 Type B surfaces and returns exact bases built from the case-specific ansatz
 constructions.  Where a case gives a finite span of exponential-polynomial
 (Type A) or power-log (Type B) monomials instead of a basis, `_solve_span`
-solves the operator's closed-form action on those monomials, one block of
-interacting monomials at a time.  Either way, every returned basis element is
-certified by `_certify`: an exact residual check through `qe_residual`, which
-does not use the closed-form rows, and an independence check.
+solves the operator's closed-form action on those monomials by one sparse
+elimination, in which monomials with distinct exponentials never meet.
+Either way, every returned basis element is certified by `_certify`: an exact
+residual check through `qe_residual`, which does not use the closed-form
+rows, and an independence check.
 `jet_dimension_oracle` computes the same dimension by a completely separate
 route (prolongation to a first-order system and stabilization of the
 integrability obstruction), which is what the acceptance sweeps compare
@@ -105,7 +106,6 @@ IDENTITY_CHANGE = CoordinateChange(((Scalar(1), Scalar(0)),
 
 @dataclass(frozen=True)
 class EigenspaceDescription:
-    dim: int
     basis: tuple  # AnsatzFunctions in solver coordinates
     case_label: str
     mu: Fraction
@@ -113,6 +113,10 @@ class EigenspaceDescription:
     change: CoordinateChange = IDENTITY_CHANGE
     normalization: NormalizationRecord | None = None
     flags: tuple = ()
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def basis_in_input_coordinates(self) -> list[AnsatzFunction]:
         return [self.change.to_input(f) for f in self.basis]
@@ -210,25 +214,29 @@ def _operator_columns(conn: AffineConnection2, mu,
 
 
 def _solve_span(conn: AffineConnection2, mu, span_terms: Sequence[Term],
-                label: str):
-    """Certified kernel of the quasi-Einstein operator on span(span_terms).
+                label: str, dim: int):
+    """Certified kernel of the quasi-Einstein operator on span(span_terms),
+    of dimension `dim` by the case's theorem.
 
-    span_terms are unit monomials with distinct keys.  Their coefficient
-    columns come from the operator's closed-form action on one monomial
-    (`_operator_columns`); blocks of columns that share no row are eliminated
-    separately (`_linalg.block_nullspace`).  A block never spans two Type A
-    exponent pairs, or two Type B exponents whose difference is not an
-    integer; the (1, 2) component links those that differ by one.  Each
-    kernel vector becomes one basis element scaled to leading coefficient 1,
-    and the basis goes through `_certify`.
+    span_terms are unit monomials with distinct keys.  The kernel of their
+    closed-form coefficient columns (`_operator_columns`) comes from one
+    sparse elimination (`_linalg.nullspace`), which never combines two Type
+    A exponent pairs, or two Type B exponents that differ by a non-integer.
+    Each kernel vector becomes one basis element with leading coefficient 1;
+    the basis goes through `_certify`, then its length is checked.
     """
-    columns = _operator_columns(conn, mu, span_terms)
+    rows: dict = {}  # row key -> sparse row over the monomials
+    for j, col in enumerate(_operator_columns(conn, mu, span_terms)):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
     out = []
-    for vec in _linalg.block_nullspace(columns):
+    for vec in _linalg.nullspace(list(rows.values()), len(span_terms)):
         f = AnsatzFunction([t.with_coeff(v) for v, t in zip(vec, span_terms)
                             if not v.is_zero()], conn.context)
         out.append(f.scale(f.terms[0].coeff.inverse()))
     _certify(conn, mu, out, label)
+    if len(out) != dim:
+        raise SolverError(f"{label}: expected dimension {dim}, got {len(out)}")
     return out
 
 
@@ -397,17 +405,13 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
     mus = Scalar(mu)
     if ric.is_flat:
         terms = _span_terms_a(_flat_weight_pairs(conn), deg_max=2)
-        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat")
-        if len(basis) != 3:
-            raise SolverError("flat Type A solver expected dimension 3, got "
-                              f"{len(basis)}")
-        return EigenspaceDescription(3, tuple(basis), "Thm1.5(3) flat", mu,
-                                     conn)
+        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3)
+        return EigenspaceDescription(tuple(basis), "Thm1.5(3) flat", mu, conn)
     rank = ric.rank_s
     if mu == 0:
         if rank == 2:
             basis = [constant(1, Context.TYPE_A)]
-            return EigenspaceDescription(1, tuple(basis), "Thm1.10(1) trivial",
+            return EigenspaceDescription(tuple(basis), "Thm1.10(1) trivial",
                                          mu, conn)
         rotated, change, rho22 = _rank1_frame(conn, ric)
         a = rotated.coefficient(2, 2, 2)
@@ -419,8 +423,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
             basis = [one, monomial(Context.TYPE_A, x2=1)]
             label = "Thm1.10(1b)"
         _certify(rotated, mu, basis, label)
-        return EigenspaceDescription(2, tuple(basis), label, mu, rotated,
-                                     change)
+        return EigenspaceDescription(tuple(basis), label, mu, rotated, change)
     if mu == -1:
         if rank == 1:
             rotated, change, rho22 = _rank1_frame(conn, ric)
@@ -448,19 +451,16 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
             basis.append(third)
             label = "Thm1.10(2) rank1"
             _certify(rotated, mu, basis, label)
-            return EigenspaceDescription(3, tuple(basis), label, mu, rotated,
+            return EigenspaceDescription(tuple(basis), label, mu, rotated,
                                          change)
         pairs = _conic_pairs(conn, ric.r_s)
         terms = _span_terms_a(pairs, deg_max=2)
-        basis = _solve_span(conn, mu, terms, "Thm1.10(2) rank2")
-        if len(basis) != 3:
-            raise SolverError("critical rank-2 solver expected dimension 3, "
-                              f"got {len(basis)}")
-        return EigenspaceDescription(3, tuple(basis), "Thm1.10(2) rank2", mu,
+        basis = _solve_span(conn, mu, terms, "Thm1.10(2) rank2", 3)
+        return EigenspaceDescription(tuple(basis), "Thm1.10(2) rank2", mu,
                                      conn)
     # mu not in {0, -1}
     if rank == 2:
-        return EigenspaceDescription(0, (), "Thm1.10(3) rank2", mu, conn)
+        return EigenspaceDescription((), "Thm1.10(3) rank2", mu, conn)
     rotated, change, rho22 = _rank1_frame(conn, ric)
     f = rotated.coefficient(2, 2, 2)
     roots = _quadratic_exponents(f, mus * rho22)
@@ -471,7 +471,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
         basis = [_exp2(roots[0]), _exp2(roots[1])]
         label = "Thm1.10(3) rank1"
     _certify(rotated, mu, basis, label)
-    return EigenspaceDescription(2, tuple(basis), label, mu, rotated, change)
+    return EigenspaceDescription(tuple(basis), label, mu, rotated, change)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +534,7 @@ def _mu0_type_b(conn: AffineConnection2, mu, label_suffix=""):
     if len(basis) > 2:
         raise SolverError("non-flat Yamabe space cannot exceed dimension 2")
     _certify(conn, 0, basis, label)
-    return EigenspaceDescription(len(basis), tuple(basis),
-                                 label + label_suffix, mu, conn)
+    return EigenspaceDescription(tuple(basis), label + label_suffix, mu, conn)
 
 
 def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
@@ -543,12 +542,8 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     mus = Scalar(mu)
     if ric.is_flat:
         terms = _span_terms_b(_flat_b_candidates(conn), log_max=2, deg2_max=2)
-        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat")
-        if len(basis) != 3:
-            raise SolverError("flat Type B solver expected dimension 3, got "
-                              f"{len(basis)}")
-        return EigenspaceDescription(3, tuple(basis), "Thm1.5(3) flat", mu,
-                                     conn)
+        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3)
+        return EigenspaceDescription(tuple(basis), "Thm1.5(3) flat", mu, conn)
     if _all_zero(ric.r_s):
         return _mu0_type_b(conn, mu, label_suffix=" [rho_s=0]")
     flags_in = type_flags(conn)
@@ -561,21 +556,16 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                 cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
                 terms = _span_terms_b(cands, log_max=2, deg2_max=1)
                 label = "Thm1.13(1) alsoA"
-                basis = _solve_span(conn, mu, terms, label)
-                if len(basis) != 3:
-                    raise SolverError(f"{label}: expected dimension 3")
-                return EigenspaceDescription(3, tuple(basis), label, mu, conn)
+                basis = _solve_span(conn, mu, terms, label, 3)
+                return EigenspaceDescription(tuple(basis), label, mu, conn)
             normalized, record = normalize_type_b(conn)
             v = normalized.coefficient(1, 2, 2)
             cands = [v, v + 1, v + 2]
             terms = _span_terms_b(cands, log_max=2, deg2_max=2)
             vtxt = str(v.as_fraction()) if v.is_rational() else repr(v)
             label = f"Thm1.13(2) v={vtxt}"
-            basis = _solve_span(normalized, mu, terms, label)
-            if len(basis) != 3:
-                raise SolverError(f"{label}: expected dimension 3")
-            return EigenspaceDescription(3, tuple(basis), label, mu,
-                                         normalized,
+            basis = _solve_span(normalized, mu, terms, label, 3)
+            return EigenspaceDescription(tuple(basis), label, mu, normalized,
                                          CoordinateChange(record.matrix),
                                          record)
         cm = conn.coeff_map()
@@ -585,9 +575,9 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                 alpha = cm["122"]
                 basis = [_b_mono(alpha)]
                 _certify(conn, mu, basis, "Thm1.15(1)")
-                return EigenspaceDescription(1, tuple(basis), "Thm1.15(1)",
-                                             mu, conn)
-            return EigenspaceDescription(0, (), "Thm1.15 none", mu, conn)
+                return EigenspaceDescription(tuple(basis), "Thm1.15(1)", mu,
+                                             conn)
+            return EigenspaceDescription((), "Thm1.15 none", mu, conn)
         normalized, record = normalize_type_b(conn)
         change = CoordinateChange(record.matrix)
         n = normalized.coeff_map()
@@ -602,24 +592,21 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
             alpha = n["111"] - n["122"] - 1
             basis = [_b_mono(alpha)]
             _certify(normalized, mu, basis, "Thm1.15(2)")
-            return EigenspaceDescription(1, tuple(basis), "Thm1.15(2)", mu,
+            return EigenspaceDescription(tuple(basis), "Thm1.15(2)", mu,
                                          normalized, change, record,
                                          tuple(flags))
-        return EigenspaceDescription(0, (), "Thm1.15 none", mu, normalized,
+        return EigenspaceDescription((), "Thm1.15 none", mu, normalized,
                                      change, record, tuple(flags))
     # mu outside {0, -1}
     if flags_in.is_also_type_a:
         cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
         terms = _span_terms_b(cands, log_max=2, deg2_max=1)
         label = "Thm6.1(2) TypeA-form"
-        basis = _solve_span(conn, mu, terms, label)
-        if len(basis) != 2:
-            raise SolverError(f"{label}: expected dimension 2, got "
-                              f"{len(basis)}")
-        return EigenspaceDescription(2, tuple(basis), label, mu, conn)
+        basis = _solve_span(conn, mu, terms, label, 2)
+        return EigenspaceDescription(tuple(basis), label, mu, conn)
     cm = conn.coeff_map()
     if cm["221"].is_zero():
-        return EigenspaceDescription(0, (), "Thm1.17 none (C22^1=0)", mu, conn)
+        return EigenspaceDescription((), "Thm1.17 none (C22^1=0)", mu, conn)
     normalized, record = normalize_type_b(conn)
     change = CoordinateChange(record.matrix)
     n = normalized.coeff_map()
@@ -630,18 +617,18 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     if shape_opp and not shape:
         flags.append("eps-pairing-sensitive")
     if not shape:
-        return EigenspaceDescription(0, (), "Thm1.17 none", mu, normalized,
+        return EigenspaceDescription((), "Thm1.17 none", mu, normalized,
                                      change, record, tuple(flags))
     denom = n["111"] - n["122"] - 1
     if denom.is_zero():
-        return EigenspaceDescription(0, (), "Thm1.17 excluded locus", mu,
+        return EigenspaceDescription((), "Thm1.17 excluded locus", mu,
                                      normalized, change, record, tuple(flags))
     mu_star = ((-(n["111"] * n["111"]) + 2 * n["111"] * n["122"]
                 + 2 * eps * n["112"] * n["112"]
                 - n["122"] * n["122"] + 2 * n["122"] + 1)
                / (denom * denom))
     if mus != mu_star:
-        return EigenspaceDescription(0, (), "Thm1.17 mu mismatch", mu,
+        return EigenspaceDescription((), "Thm1.17 mu mismatch", mu,
                                      normalized, change, record, tuple(flags))
     alpha = mus * (1 + n["122"] - n["111"])
     basis = [_b_mono(alpha)]
@@ -660,8 +647,8 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                      - _b_mono(alpha + 1, coeff=2 * n["112"]))
         label = "Thm1.17(2)"
     _certify(normalized, mu, basis, label)
-    return EigenspaceDescription(len(basis), tuple(basis), label, mu,
-                                 normalized, change, record, tuple(flags))
+    return EigenspaceDescription(tuple(basis), label, mu, normalized, change,
+                                 record, tuple(flags))
 
 
 def eigenspace(conn: AffineConnection2, mu, *,
@@ -678,13 +665,11 @@ def eigenspace(conn: AffineConnection2, mu, *,
         desc = _eigenspace_a(conn, mu)
     else:
         desc = _eigenspace_b(conn, mu)
-    if desc.dim != len(desc.basis):
-        raise SolverError("dimension / basis length mismatch")
     if input_coords and not desc.change.is_identity:
         mapped = tuple(desc.basis_in_input_coordinates())
-        desc = EigenspaceDescription(desc.dim, mapped, desc.case_label, mu,
-                                     conn, IDENTITY_CHANGE,
-                                     desc.normalization, desc.flags)
+        desc = EigenspaceDescription(mapped, desc.case_label, mu, conn,
+                                     IDENTITY_CHANGE, desc.normalization,
+                                     desc.flags)
         _certify(conn, mu, list(mapped), desc.case_label + " [input coords]")
     return desc
 
@@ -702,8 +687,7 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
     x1-weighted derivatives for Type B, which makes every power of x1 match
     automatically) the coefficient matrices are constant, the integrability
     obstruction is a single matrix, and the answer is the dimension of the
-    largest invariant subspace it kills, stabilized in at most dim+1 rounds.
-    Each round keeps only a reduced basis of the obstruction rows.
+    largest invariant subspace it kills.
     """
     mus = _mu_scalar(mu)
     r_s = ricci(conn).r_s
@@ -727,18 +711,21 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
         g = _linalg.matsub(
             _linalg.matsub(_linalg.matmul(m2, m1), _linalg.matmul(m1, m2)),
             m2)
-    # rows spans the obstruction's invariant closure so far; the row space
-    # of rows.m depends only on that of rows, so a reduced basis (at most 3
-    # rows) carries each round.  The rank grows every round until it
-    # stabilizes or reaches 3, so at most 3 rounds run.
-    rows = _linalg.row_basis(g)
-    while len(rows) < 3:
-        new_rows = _linalg.row_basis(
-            rows + [r for m in (m1, m2) for r in _linalg.matmul(rows, m)])
-        if len(new_rows) == len(rows):
-            break
-        rows = new_rows
-    return 3 - len(rows)
+    # The echelon grows to the smallest span of the obstruction rows that is
+    # closed under right multiplication by m1 and m2.  The rows that add a
+    # pivot span the echelon, so once the images of each of them are in it,
+    # the span is closed; each round adds the images of the last round's.
+    echelon: dict = {}
+    rows = _linalg.sparse(g)
+    while rows:
+        added = []
+        for row in rows:
+            if _linalg.add_row(echelon, row):
+                if len(echelon) == 3:
+                    return 0
+                added.append(row)
+        rows = [_linalg.vecmat(row, m) for row in added for m in (m1, m2)]
+    return 3 - len(echelon)
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,11 @@ class RicciData:
 
     @cached_property
     def rank_s(self) -> int:
-        return _linalg.rank(self.r_s)
+        return _linalg.rank(_linalg.sparse(self.r_s))
 
     @cached_property
     def rank(self) -> int:
-        return _linalg.rank(self.r)
+        return _linalg.rank(_linalg.sparse(self.r))
 
 
 def christoffel(conn: AffineConnection2):

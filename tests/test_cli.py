@@ -237,12 +237,50 @@ def test_bad_input_exit_2(capsys, tmp_path, text):
     assert code == 2
 
 
+@pytest.mark.parametrize("minpoly", [["-1", "0", "0", "1"],
+                                     ["-6", "11", "-6", "1"],
+                                     ["-2", "0", "2"]],
+                         ids=["x3_minus_1", "three_rational_roots",
+                              "not_monic"])
+@pytest.mark.parametrize("command", [("classify",), ("solve", "--mu", "1"),
+                                     ("oracle", "--mu", "1"), ("extend",)],
+                         ids=lambda c: c[0])
+def test_bad_field_scalar_exit_2(capsys, tmp_path, minpoly, command):
+    # Type B 111 = 1 + theta, 122 = 2, 221 = 1
+    theta = [["1", "0"], ["1", "0"]] + [["0", "0"]] * (len(minpoly) - 3)
+    p = tmp_path / "field.json"
+    p.write_text(json.dumps({"kind": "B", "coeffs": {
+        "111": {"c": theta, "min": minpoly, "root": 0},
+        "122": "2", "221": "1"}}))
+    code, out, err = run_cli(capsys, *command, "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed connection file")
+    assert len(err.splitlines()) == 1
+
+
+def test_quadratic_field_scalar_echoed_in_canonical_form(capsys, tmp_path):
+    # theta = (-5 - sqrt 33)/2, root 0 of x^2 + 5x - 2
+    p = tmp_path / "quadratic.json"
+    p.write_text('{"kind": "B", "coeffs": {"111": {"c": [["0", "0"], '
+                 '["1", "0"]], "min": ["-2", "5", "1"], "root": 0}}}')
+    code, out, _ = run_cli(capsys, "classify", "--input", str(p))
+    assert code == 0
+    assert json.loads(out)["connection"]["coeffs"]["111"] == {
+        "c": [["-5/2", "0"], ["-1/2", "0"]], "min": ["-33", "0", "1"],
+        "root": 1}
+
+
 @pytest.mark.parametrize("text", [
     '{"phi11": [{"coeff": "1/0", "exp": ["0", "0"]}], "phi12": [], '
     '"phi22": []}',
     '[1, 2]',
     '{"phi11": 5}',
-], ids=["zero_denominator", "top_level_list", "entry_not_list"])
+    '{"phi11": [{"coeff": "1", "exp": ["0"]}], "phi12": [], "phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "y": [1]}], "phi12": [], '
+    '"phi22": []}',
+], ids=["zero_denominator", "top_level_list", "entry_not_list", "short_exp",
+        "short_y"])
 def test_bad_phi_exit_2(capsys, tmp_path, text):
     conn_path = tmp_path / "a2.json"
     save_connection(A2, conn_path)

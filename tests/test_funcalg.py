@@ -155,6 +155,54 @@ def test_rank_basis_shuffle_invariant():
         assert rank_basis(shuffled)[0] == base_rank
 
 
+def _reference_rank_basis(fs):
+    """Reference: the first-come independent sublist by elimination on
+    {term key: coefficient} rows, any nonzero entry taken as the pivot."""
+    pivots, basis = [], []
+    for f in fs:
+        row = {t.key(): t.coeff for t in f.terms}
+        for key, prow in pivots:
+            if key in row and not row[key].is_zero():
+                factor = row[key]
+                for k2, v2 in prow.items():
+                    row[k2] = row.get(k2, Scalar(0)) - factor * v2
+        row = {k: v for k, v in row.items() if not v.is_zero()}
+        if row:
+            lead = next(iter(row))
+            inv = row[lead].inverse()
+            pivots.append((lead, {k: v * inv for k, v in row.items()}))
+            basis.append(f)
+    return basis
+
+
+def test_rank_basis_matches_reference():
+    rng = random.Random(11)
+    sqrt2 = Scalar.sqrt_rational(2)
+    coeffs = (Scalar(1), Scalar(-2), Scalar(Fraction(1, 3)), Scalar.i(),
+              Scalar(1, 1), sqrt2, sqrt2 + Scalar.i(Fraction(1, 2)))
+    # a few shared term keys, so that rows overlap
+    keys = [dict(exp=(e, 0), pow1=p, x2=q)
+            for e in (0, 1) for p in (0, 1) for q in (0, 1)]
+    for _ in range(100):
+        fs = []
+        for _ in range(rng.randint(1, 7)):
+            if len(fs) >= 2 and rng.random() < 0.3:
+                f, g = rng.sample(fs, 2)
+                fs.append(f.scale(rng.choice(coeffs))
+                          + g.scale(rng.choice(coeffs)))
+                continue
+            f = AnsatzFunction([], Context.TYPE_A)
+            for kw in rng.sample(keys, rng.randint(1, 3)):
+                f = f + monomial(Context.TYPE_A, coeff=rng.choice(coeffs),
+                                 **kw)
+            fs.append(f)
+        fs = [f for f in fs if not f.is_zero()]
+        rank, picked = rank_basis(fs)
+        expected = _reference_rank_basis(fs)
+        assert rank == len(expected)
+        assert [id(f) for f in picked] == [id(f) for f in expected], fs
+
+
 def test_rank_basis_mixed_contexts():
     with pytest.raises(FunctionAlgebraError):
         rank_basis([constant(1, Context.TYPE_A), constant(1, Context.TYPE_B)])
@@ -297,3 +345,58 @@ def test_scalar_from_json_digit_cap():
     with pytest.raises(ValueError, match="digits"):
         scalar_from_json("1e-9999999")
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_field_scalars_read_from_the_whole_minimal_polynomial():
+    from affineqe.funcalg import scalar_from_json, scalar_to_json
+    from affineqe.scalars import AlgebraicContext
+
+    theta = {"c": [["0", "0"], ["1", "0"]]}
+    # canonical x^2 - m, root 1, reads +sqrt(m) as before
+    for m in ("2", "3", "-1", "1/2", "12", "4"):
+        got = scalar_from_json({**theta, "min": [str(-Fraction(m)), "0", "1"],
+                                "root": 1})
+        assert got == Scalar.sqrt_rational(Fraction(m))
+    # any monic quadratic: theta is the root number `root` of
+    # AlgebraicContext.roots(), ascending real, positive imaginary second
+    for c, b in ((-2, 5), (1, 1), (-1, -1), (3, 2), (-6, 1), (1, 0)):
+        roots = AlgebraicContext((Fraction(c), Fraction(b), Fraction(1)),
+                                 0).roots()
+        for root in (0, 1):
+            got = scalar_from_json({**theta, "min": [str(c), str(b), "1"],
+                                    "root": root})
+            assert abs(got.to_complex() - roots[root]) < 1e-12, (c, b, root)
+            assert got * got + got * b + c == Scalar(0)
+            assert scalar_from_json(scalar_to_json(got)) == got
+    got = scalar_from_json({**theta, "min": ["-2", "5", "1"], "root": 0})
+    assert got == (Scalar(-5) - Scalar.sqrt_rational(33)) * Fraction(1, 2)
+    # a cubic with no rational root, each of its three roots
+    for root in (0, 1, 2):
+        data = {"c": [["1", "0"], ["1", "0"], ["0", "1/2"]],
+                "min": ["-2", "0", "0", "1"], "root": root}
+        got = scalar_from_json(data)
+        t = Scalar.algebraic((-2, 0, 0, 1), root)
+        assert got == 1 + t + Scalar.i(Fraction(1, 2)) * t * t
+        assert scalar_to_json(got) == data
+        assert scalar_from_json(scalar_to_json(got)) == got
+
+
+@pytest.mark.parametrize("minpoly, root", [
+    (["-2", "0", "1"], 2),
+    (["-2", "0", "1"], -1),
+    (["-2", "0", "0", "1"], 3),
+    (["-2", "0", "2"], 1),
+    (["-2", "0", "0", "3"], 0),
+    (["-2", "1"], 0),
+    (["-2", "0", "0", "0", "1"], 0),
+    (["-1", "0", "0", "1"], 0),
+    (["-6", "11", "-6", "1"], 1),
+], ids=["quadratic_root_2", "negative_root", "cubic_root_3",
+        "quadratic_not_monic", "cubic_not_monic", "linear", "quartic",
+        "cubic_x3_minus_1", "cubic_three_rational_roots"])
+def test_malformed_field_scalars_refused(minpoly, root):
+    from affineqe.funcalg import scalar_from_json
+
+    with pytest.raises(ValueError):
+        scalar_from_json({"c": [["0", "0"], ["1", "0"]], "min": minpoly,
+                          "root": root})

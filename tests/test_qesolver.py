@@ -519,7 +519,46 @@ def test_closed_form_rows_match_qe_residual():
             _check_rows(conn, mu, terms)
 
 
-def test_block_nullspace_matches_dense():
+def _dense_row_basis(rows):
+    """Reference: dense Gauss-Jordan, pivots 1, rows by pivot column."""
+    pivots = []
+    for row in rows:
+        row = list(row)
+        for col, prow in pivots:
+            f = row[col]
+            if not f.is_zero():
+                row = [v if w.is_zero() else v - f * w
+                       for v, w in zip(row, prow)]
+        lead = next((j for j, v in enumerate(row) if not v.is_zero()), None)
+        if lead is not None:
+            inv = row[lead].inverse()
+            prow = [v if v.is_zero() else v * inv for v in row]
+            for col, existing in pivots:
+                f = existing[lead]
+                if not f.is_zero():
+                    existing[:] = [v if w.is_zero() else v - f * w
+                                   for v, w in zip(existing, prow)]
+            pivots.append((lead, prow))
+    pivots.sort(key=lambda p: p[0])
+    return [p[1] for p in pivots]
+
+
+def _dense_nullspace(rows, ncols):
+    """Reference: one kernel vector per free column of `_dense_row_basis`."""
+    ech = _dense_row_basis(rows)
+    pivot_cols = [next(j for j, v in enumerate(row) if not v.is_zero())
+                  for row in ech]
+    basis = []
+    for fc in [j for j in range(ncols) if j not in pivot_cols]:
+        vec = [Scalar(0)] * ncols
+        vec[fc] = Scalar(1)
+        for row, pc in zip(ech, pivot_cols):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def test_sparse_nullspace_matches_dense_reference():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 8)
@@ -536,8 +575,14 @@ def test_block_nullspace_matches_dense():
             columns.append(col)
         keys = sorted({k for col in columns for k in col})
         dense = [[col.get(k, Scalar(0)) for col in columns] for k in keys]
-        assert (_linalg.block_nullspace(columns)
-                == _linalg.nullspace(dense, n)), columns
+        rows = [{j: col[k] for j, col in enumerate(columns) if k in col}
+                for k in keys]
+        assert _linalg.nullspace(rows, n) == _dense_nullspace(dense, n), \
+            columns
+        echelon = _linalg.row_basis(rows)
+        assert [[echelon[c].get(j, Scalar(0)) for j in range(n)]
+                for c in sorted(echelon)] == _dense_row_basis(dense)
+        assert _linalg.rank(rows) == len(echelon)
 
 
 def test_solve_span_certifies(monkeypatch):
@@ -552,6 +597,16 @@ def test_solve_span_certifies(monkeypatch):
     monkeypatch.setattr(qesolver, "_operator_columns", no_rows)
     with pytest.raises(SolverError, match="fails the residual check"):
         eigenspace(conn, -1)
+
+
+def test_solve_span_checks_the_dimension():
+    conn = AffineConnection2.type_a(c111=2, c112=1, c221=1)
+    terms = qesolver._span_terms_a(
+        qesolver._conic_pairs(conn, ricci(conn).r_s))
+    assert len(qesolver._solve_span(conn, -1, terms, "rank2", 3)) == 3
+    with pytest.raises(SolverError,
+                       match=r"^rank2: expected dimension 2, got 3$"):
+        qesolver._solve_span(conn, -1, terms, "rank2", 2)
 
 
 @pytest.mark.parametrize("conn, mu, dim", [
