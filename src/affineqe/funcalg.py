@@ -344,7 +344,11 @@ def scalar_from_json(data) -> Scalar:
     coeffs = [(input_fraction(re), input_fraction(im))
               for re, im in data["c"]]
     minpoly = [input_fraction(c) for c in data["min"]]
-    root = int(data["root"])
+    root = data["root"]
+    if isinstance(root, str):
+        root = int(root)
+    if type(root) is not int:  # a bool or a float is no root index
+        raise ValueError(f"'root' must be an integer, not {root!r}")
     if len(minpoly) not in (3, 4) or minpoly[-1] != 1:
         raise ValueError("'min' must be a monic quadratic or cubic, "
                          "ascending")
@@ -380,15 +384,19 @@ def _term_to_json(t: Term) -> dict:
 
 
 def _term_from_json(d: dict) -> Term:
+    exp, y = d["exp"], d.get("y", [0, 0])
+    for key, pair in (("exp", exp), ("y", y)):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"'{key}' must be a list of two entries")
     return Term(
         coeff=scalar_from_json(d["coeff"]),
-        exp1=scalar_from_json(d["exp"][0]),
-        exp2=scalar_from_json(d["exp"][1]),
+        exp1=scalar_from_json(exp[0]),
+        exp2=scalar_from_json(exp[1]),
         pow1=scalar_from_json(d.get("pow1", "0")),
         logdeg=int(d.get("log", 0)),
         deg2=int(d.get("x2", 0)),
-        fiberdeg1=int(d.get("y", [0, 0])[0]),
-        fiberdeg2=int(d.get("y", [0, 0])[1]),
+        fiberdeg1=int(y[0]),
+        fiberdeg2=int(y[1]),
     )
 
 

@@ -5,6 +5,9 @@ root sqrt(m) of a squarefree integer m > 1, or a root of a monic irreducible
 rational cubic.  This is enough to carry every coefficient and exponent the
 classification produces (quadratic formulas, and the cubic exponent systems of
 the rank-2 critical case) while keeping equality decidable and exact.
+
+The field arithmetic is closed-form: products reduce by the minimal polynomial,
+inverses come from Cayley-Hamilton, and conjugates go by root index.
 """
 from __future__ import annotations
 
@@ -43,10 +46,6 @@ def _gq_add(a: _GQ, b: _GQ) -> _GQ:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _gq_sub(a: _GQ, b: _GQ) -> _GQ:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _gq_mul(a: _GQ, b: _GQ) -> _GQ:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -60,10 +59,6 @@ def _gq_inv(a: _GQ) -> _GQ:
     if n == 0:
         raise ZeroDivisionError("division by zero scalar")
     return (a[0] / n, -a[1] / n)
-
-
-def _gq_conj(a: _GQ) -> _GQ:
-    return (a[0], -a[1])
 
 
 def _gq_is_zero(a: _GQ) -> bool:
@@ -156,18 +151,11 @@ def _poly_roots_numeric(p: Sequence[Fraction]) -> list[complex]:
     return roots
 
 
-# Per-minimal-polynomial data, recomputed on demand; each dict keeps the
-# _CTX_CACHE_MAX most recently added polynomials, so a long sweep over many
-# cubic fields holds bounded memory.
+# The float roots of each minimal polynomial, recomputed on demand; the dict
+# keeps the _CTX_CACHE_MAX most recently added polynomials, so a long sweep
+# over many cubic fields holds bounded memory.
 _CTX_CACHE_MAX = 64
 _CTX_ROOTS: dict[tuple, list[complex]] = {}
-_CTX_REDUCTIONS: dict[tuple, list[tuple[_GQ, ...]]] = {}
-
-
-def _remember(cache: dict, key, value):
-    if len(cache) >= _CTX_CACHE_MAX:
-        del cache[next(iter(cache))]
-    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -186,10 +174,14 @@ class AlgebraicContext:
         got = _CTX_ROOTS.get(key)
         if got is None:
             got = _poly_roots_numeric(self.minpoly)
-            # deterministic order: real roots ascending, then complex by (re, im)
-            got.sort(key=lambda z: (0 if abs(z.imag) < 1e-9 else 1, z.real, z.imag))
+            # real roots ascending, then the conjugate pair by imaginary part
+            # alone: the pair's float real parts may differ in the last bit
+            got.sort(key=lambda z: (1, z.imag) if abs(z.imag) >= 1e-9
+                     else (0, z.real))
             got = [complex(z.real, 0.0) if abs(z.imag) < 1e-9 else z for z in got]
-            _remember(_CTX_ROOTS, key, got)
+            if len(_CTX_ROOTS) >= _CTX_CACHE_MAX:
+                del _CTX_ROOTS[next(iter(_CTX_ROOTS))]
+            _CTX_ROOTS[key] = got
         return got
 
     def root_value(self) -> complex:
@@ -204,36 +196,8 @@ class AlgebraicContext:
         return self.root_index < n_real
 
     def conjugate_index(self) -> int:
-        if self.root_is_real():
-            return self.root_index
-        target = self.root_value().conjugate()
-        roots = self.roots()
-        best = min(range(len(roots)), key=lambda k: abs(roots[k] - target))
-        return best
-
-    def reductions(self) -> list[tuple[_GQ, ...]]:
-        """theta^k for k = degree .. 2*degree-2 as coefficient tuples."""
-        key = self.minpoly
-        got = _CTX_REDUCTIONS.get(key)
-        if got is None:
-            d = self.degree
-            top = tuple(_gq(-c) for c in self.minpoly[:d])  # theta^d
-            rows = [top]
-            for _ in range(d - 2):
-                prev = rows[-1]
-                shifted = [_ZERO_GQ] + list(prev[: d - 1])
-                spill = prev[d - 1]
-                row = tuple(
-                    _gq_add(shifted[j], _gq_mul(spill, top[j])) for j in range(d)
-                )
-                rows.append(row)
-            got = rows
-            _remember(_CTX_REDUCTIONS, key, got)
-        return got
-
-
-def _sqrt_context(m: int) -> AlgebraicContext:
-    return AlgebraicContext((Fraction(-m), Fraction(0), Fraction(1)), 1)  # +sqrt(m)
+        # a context is real, or a cubic whose complex roots are 1 and 2
+        return self.root_index if self.root_is_real() else 3 - self.root_index
 
 
 class Scalar:
@@ -282,14 +246,11 @@ class Scalar:
             return Scalar(0)
         num, den = abs(q.numerator), q.denominator
         s, m = squarefree_split(num * den)
-        rat = Fraction(s, den)
-        if q > 0:
-            if m == 1:
-                return Scalar(rat)
-            return Scalar._make((_ZERO_GQ, _gq(rat)), _sqrt_context(m))
+        rat = _gq(Fraction(s, den)) if q > 0 else _gq(0, Fraction(s, den))
         if m == 1:
-            return Scalar(0, rat)
-        return Scalar._make((_ZERO_GQ, _gq(0, rat)), _sqrt_context(m))
+            return Scalar(*rat)
+        ctx = AlgebraicContext((Fraction(-m), _F0, Fraction(1)), 1)  # +sqrt(m)
+        return Scalar._make((_ZERO_GQ, rat), ctx)
 
     @staticmethod
     def algebraic(minpoly: Sequence[RationalLike], root_index: int) -> "Scalar":
@@ -442,14 +403,17 @@ class Scalar:
                 if _gq_is_zero(y):
                     continue
                 conv[i + j] = _gq_add(conv[i + j], _gq_mul(x, y))
-        out = conv[:d]
-        reds = ctx.reductions()
-        for k in range(d, 2 * d - 1):
-            if _gq_is_zero(conv[k]):
-                continue
-            red = reds[k - d]
-            out = [_gq_add(out[j], _gq_mul(conv[k], red[j])) for j in range(d)]
-        return Scalar._make(out, ctx)
+        # theta^d = -sum_j m_j theta^j: fold the top coefficients down in
+        # place, highest first
+        m = ctx.minpoly
+        for k in range(2 * d - 2, d - 1, -1):
+            cr, ci = conv[k]
+            if cr or ci:
+                for j in range(d):
+                    if m[j]:
+                        xr, xi = conv[k - d + j]
+                        conv[k - d + j] = (xr - cr * m[j], xi - ci * m[j])
+        return Scalar._make(conv[:d], ctx)
 
     __rmul__ = __mul__
 
@@ -461,33 +425,25 @@ class Scalar:
             if im is _F0 or not im:
                 return _rational(1 / re)
             return Scalar._make((_gq_inv(self._c[0]),), None)
-        d = self._ctx.degree
-        # columns: coefficients of theta^j * self, solve for u with u*self = 1
-        cols = []
-        basis = Scalar._make((_ONE_GQ,) + (_ZERO_GQ,) * (d - 1), self._ctx)
-        theta = Scalar._make((_ZERO_GQ, _ONE_GQ) + (_ZERO_GQ,) * (d - 2), self._ctx)
-        power = basis
-        for _ in range(d):
-            prod = power * self
-            cols.append(list(prod._lift(self._ctx)))
-            power = power * theta
-        # solve sum_j u_j * cols[j] = e0 by Gaussian elimination over Q(i)
-        n = d
-        aug = [[cols[j][i] for j in range(n)] + [_ONE_GQ if i == 0 else _ZERO_GQ]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not _gq_is_zero(aug[r][col])), None)
-            if piv is None:
-                raise ScalarError("inverse failed; minimal polynomial not irreducible?")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = _gq_inv(aug[col][col])
-            aug[col] = [_gq_mul(v, inv) for v in aug[col]]
-            for r in range(n):
-                if r != col and not _gq_is_zero(aug[r][col]):
-                    f = aug[r][col]
-                    aug[r] = [_gq_sub(v, _gq_mul(f, w)) for v, w in zip(aug[r], aug[col])]
-        u = [aug[i][n] for i in range(n)]
-        return Scalar._make(u, self._ctx)
+        # Cayley-Hamilton over Q(i): Newton's identities turn the traces
+        # p_k = tr(self^k) into the characteristic coefficients e_k, and
+        # sum_k (-1)^k e_k self^(d-k) = 0 solves for the inverse.  e_d is the
+        # norm, nonzero because Q(i)(theta) is a field.
+        ctx = self._ctx
+        d, m = ctx.degree, ctx.minpoly
+        traces = (d, -m[d - 1], m[d - 1] ** 2 - 2 * m[d - 2])  # tr(theta^j)
+        powers = [Scalar(1), self]
+        while len(powers) <= d:
+            powers.append(powers[-1] * self)
+        p = [Scalar(*(sum(c[n] * t for c, t in zip(x._lift(ctx), traces))
+                      for n in (0, 1))) for x in powers]
+        e = [Scalar(1)]
+        for k in range(1, d + 1):
+            e.append(sum((e[k - i] * p[i] * (-1) ** (i - 1)
+                          for i in range(1, k + 1)), ZERO) / k)
+        scale = (-1) ** (d - 1) / e[d]
+        return sum((e[j] * scale * (-1) ** j * powers[d - 1 - j]
+                    for j in range(d)), ZERO)
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inverse()
@@ -510,13 +466,10 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        coeffs = [_gq_conj(c) for c in self._c]
-        if self._ctx is None:
-            return Scalar._make(coeffs, None)
-        if self._ctx.root_is_real():
-            return Scalar._make(coeffs, self._ctx)
-        new_ctx = AlgebraicContext(self._ctx.minpoly, self._ctx.conjugate_index())
-        return Scalar._make(coeffs, new_ctx)
+        ctx = self._ctx
+        if ctx is not None and not ctx.root_is_real():
+            ctx = AlgebraicContext(ctx.minpoly, ctx.conjugate_index())
+        return Scalar._make([(re, -im) for re, im in self._c], ctx)
 
     # -- comparison / hashing ----------------------------------------------
     def __eq__(self, other):

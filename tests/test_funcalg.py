@@ -357,6 +357,9 @@ def test_field_scalars_read_from_the_whole_minimal_polynomial():
         got = scalar_from_json({**theta, "min": [str(-Fraction(m)), "0", "1"],
                                 "root": 1})
         assert got == Scalar.sqrt_rational(Fraction(m))
+    # an integer string is a root index too
+    assert scalar_from_json({**theta, "min": ["-2", "0", "1"], "root": "1"}) \
+        == Scalar.sqrt_rational(2)
     # any monic quadratic: theta is the root number `root` of
     # AlgebraicContext.roots(), ascending real, positive imaginary second
     for c, b in ((-2, 5), (1, 1), (-1, -1), (3, 2), (-6, 1), (1, 0)):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -170,7 +171,69 @@ def test_context_caches_are_bounded():
             assert theta * theta * theta == Scalar(n + 2)
             assert abs(theta.to_complex() - (n + 2) ** (1 / 3)) < 1e-9
     assert len(scalars._CTX_ROOTS) <= scalars._CTX_CACHE_MAX
-    assert len(scalars._CTX_REDUCTIONS) <= scalars._CTX_CACHE_MAX
+
+
+def _field_elements():
+    """Seeded elements of sqrt(m) fields and of cubic fields with three real
+    roots or one, at every root index, with Gaussian coefficients."""
+    rng = random.Random(11)
+
+    def gq():
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return Scalar(re, im if rng.random() < 0.4 else 0)
+
+    def element(powers):
+        return sum((gq() * t for t in powers), Scalar(0))
+
+    out = []
+    for m in (2, 3, 5, 6, 7, 10, 11, 13, 15, 30):
+        r = Scalar.sqrt_rational(m)
+        out += [element((Scalar(1), r)) for _ in range(20)]
+    cubics = {True: 0, False: 0}   # three real roots?
+    while min(cubics.values()) < 6:
+        poly = [Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                for _ in range(3)] + [Fraction(1)]
+        roots = roots_of_monic(poly)
+        three_real = scalars._cubic_discriminant(poly) > 0
+        if roots[0].is_rational() or cubics[three_real] == 6:
+            continue
+        cubics[three_real] += 1
+        for t in roots:
+            out += [element((Scalar(1), t, t * t)) for _ in range(10)]
+    return [x for x in out if x.context is not None]
+
+
+# sha256 of the inverses' reprs, computed with the Gauss-Jordan inverse that
+# the closed form replaced
+FIELD_INVERSES_SHA256 = (
+    "a3e6f27ebf5f72475efd216a76300e230c30610b3d7b0a9fed8594f3e5d4c88d")
+
+
+def test_closed_form_field_arithmetic():
+    xs = _field_elements()
+    assert len(xs) == 555
+    assert {x.context.root_index for x in xs if x.context.degree == 3} == {
+        0, 1, 2}
+    inverses = [x.inverse() for x in xs]
+    for x, y in zip(xs, inverses):
+        assert x * y == 1
+        assert y.inverse() == x
+        assert x.conjugate().conjugate() == x
+    digest = hashlib.sha256("\n".join(map(repr, inverses)).encode())
+    assert digest.hexdigest() == FIELD_INVERSES_SHA256
+
+
+def test_complex_cubic_roots_have_positive_imaginary_part_second():
+    # the float real parts of this conjugate pair differ in the last bit
+    poly = (Fraction(-59, 4), 1, -13, 1)
+    theta = [Scalar.algebraic(poly, k) for k in range(3)]
+    roots = theta[0].context.roots()
+    assert roots[0].imag == 0 and roots[1].imag < 0 < roots[2].imag
+    assert theta[1].to_complex().imag < 0 < theta[2].to_complex().imag
+    assert theta[1].conjugate() == theta[2]
+    assert theta[2].conjugate() == theta[1]
+    assert theta[0].conjugate() == theta[0]
 
 
 _CUBIC = Scalar.algebraic([-2, 0, 0, 1], 0)   # the real cube root of 2
