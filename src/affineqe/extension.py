@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .funcalg import (
-    AnsatzFunction, Context, Point, Term, constant, hessian, product,
+    _ZEROS, AnsatzFunction, Context, Point, Term, constant, hessian, product,
     ricci_trace, riemann, sum_products, to_bundle,
 )
 from .qesolver import is_solution, potential_residual_at
@@ -28,7 +28,7 @@ from .report import VerificationReport
 from .scalars import Scalar
 from .surface import AffineConnection2, ricci
 
-_Z4 = AnsatzFunction([], Context.FOURD)
+_Z4 = _ZEROS[Context.FOURD]
 _ONE4 = constant(1, Context.FOURD)
 
 # sign of each permutation of (0, 1, 2, 3), by its inversion count
@@ -55,7 +55,7 @@ class DeformationTensor:
 
     @classmethod
     def zero(cls, context: Context) -> "DeformationTensor":
-        z = AnsatzFunction([], context)
+        z = _ZEROS[context]
         return cls(z, z, z)
 
     def entry(self, i: int, j: int) -> AnsatzFunction:
@@ -160,17 +160,22 @@ class CurvaturePack4:
         g, ginv = self.g, self.g_inv
         dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
               for a in range(4)]
-        gamma = [[[_Z4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
+        # by c, the nonzero g^{cd} as (d, g^{cd})
+        rows = [[(d, v) for d, v in enumerate(ginv[c]) if v.terms]
+                for c in range(4)]
+        gamma = [[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
         half = Scalar(Fraction(1, 2))
-        for c in range(4):
-            for a in range(4):
-                for b in range(a, 4):
-                    acc = sum_products(
-                        ((ginv[c][d], dg[b][d][a] + dg[a][d][b] - dg[a][b][d])
-                         for d in range(4) if not ginv[c][d].is_zero()),
-                        Context.FOURD).scale(half)
-                    gamma[c][a][b] = acc
-                    gamma[c][b][a] = acc
+        for a in range(4):
+            for b in range(a, 4):
+                # twice the symbols of the first kind, Gamma_abd
+                low = [dg[b][d][a] + dg[a][d][b] - dg[a][b][d]
+                       for d in range(4)]
+                if not any(v.terms for v in low):
+                    continue
+                for c in range(4):
+                    acc = sum_products(((v, low[d]) for d, v in rows[c]),
+                                       Context.FOURD).scale(half)
+                    gamma[c][a][b] = gamma[c][b][a] = acc
         return gamma
 
     @cached_property
@@ -190,15 +195,20 @@ class CurvaturePack4:
     @cached_property
     def riemann(self):
         R, g = self.riemann_up, self.g
+        # by c, the nonzero g_ec as (e, g_ec)
+        cols = [[(e, g[e][c]) for e in range(4) if g[e][c].terms]
+                for c in range(4)]
         out = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
                for _ in range(4)]
         for a, b in itertools.combinations(range(4), 2):
-            for c in range(4):
-                for d in range(4):
-                    out[a][b][c][d] = sum_products(
-                        ((R[a][b][d][e], g[e][c]) for e in range(4)),
-                        Context.FOURD)
-                    out[b][a][c][d] = -out[a][b][c][d]
+            for d in range(4):
+                r = R[a][b][d]
+                if not any(v.terms for v in r):
+                    continue
+                for c in range(4):
+                    out[a][b][c][d] = v = sum_products(
+                        ((r[e], gec) for e, gec in cols[c]), Context.FOURD)
+                    out[b][a][c][d] = -v
         return out
 
     @cached_property
@@ -209,16 +219,17 @@ class CurvaturePack4:
         P = [[(rho[a][b] - product(tau, g[a][b]).scale(sixth)).scale(half)
               for b in range(4)] for a in range(4)]
         minus_P = [[-v for v in row] for row in P]
+        Rm = self.riemann
         W = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
              for _ in range(4)]
         for a, b in itertools.combinations(range(4), 2):
             for c in range(4):
                 for d in range(4):
-                    W[a][b][c][d] = self.riemann[a][b][c][d] + sum_products(
+                    W[a][b][c][d] = w = Rm[a][b][c][d] + sum_products(
                         ((g[a][c], minus_P[b][d]), (g[a][d], P[b][c]),
                          (g[b][d], minus_P[a][c]), (g[b][c], P[a][d])),
                         Context.FOURD)
-                    W[b][a][c][d] = -W[a][b][c][d]
+                    W[b][a][c][d] = -w
         return W
 
     # -- derived checks -------------------------------------------------------
@@ -260,19 +271,26 @@ class CurvaturePack4:
     def weyl_operator(self):
         """Weyl acting on the 2-form basis (indices raised with g^{-1})."""
         W, ginv = self.weyl, self.g_inv
-        return [[sum_products(((W[a][b][e][f],
-                                product(ginv[e][c], ginv[f][d]))
-                               for e in range(4) for f in range(4)
-                               if not (W[a][b][e][f].is_zero()
-                                       or ginv[e][c].is_zero()
-                                       or ginv[f][d].is_zero())),
+        # by 2-form (a, b), the nonzero W_abef as (e, f, W_abef)
+        rows = [[(e, f, w) for e in range(4) for f, w in enumerate(W[a][b][e])
+                 if w.terms] for a, b in _PAIRS]
+        if not any(rows):
+            return [[_Z4] * 6 for _ in range(6)]
+        # g^{ec} g^{fd}, once for every (e, f) that some row needs
+        used = {(e, f) for row in rows for e, f, _ in row}
+        raised = {(e, f, c, d): product(ginv[e][c], ginv[f][d])
+                  for e, f in used for c, d in _PAIRS}
+        return [[sum_products(((w, raised[e, f, c, d]) for e, f, w in row),
                               Context.FOURD)
-                 for c, d in _PAIRS] for a, b in _PAIRS]
+                 for c, d in _PAIRS] for row in rows]
 
     def weyl_halves(self):
         """(self-dual half, anti-self-dual half) as 6x6 function matrices."""
-        star = self.star_operator()
         wop = self.weyl_operator()
+        if not any(v.terms for row in wop for v in row):
+            return ([[_Z4] * 6 for _ in range(6)],
+                    [[_Z4] * 6 for _ in range(6)])
+        star = self.star_operator()
         halves = []
         half_id = _ONE4.scale(Scalar(Fraction(1, 2)))
         for sign in (1, -1):
@@ -289,8 +307,12 @@ class CurvaturePack4:
 
 
 def _matmul6(a, b):
-    return [[sum_products(((a[i][k], b[k][j]) for k in range(6)),
-                          Context.FOURD) for j in range(6)] for i in range(6)]
+    out = []
+    for row in a:
+        nonzero = [(k, v) for k, v in enumerate(row) if v.terms]
+        out.append([sum_products(((v, b[k][j]) for k, v in nonzero),
+                                 Context.FOURD) for j in range(6)])
+    return out
 
 
 def _frobenius(matrix, point) -> float:

@@ -134,23 +134,42 @@ def _derive_terms(terms, axis: int, out: list) -> None:
                                 t.fiberdeg1, t.fiberdeg2 - 1))
 
 
+_set = object.__setattr__
+
+
 class AnsatzFunction:
     """A finite sum of terms, kept merged and in a canonical order."""
 
     __slots__ = ("terms", "context", "_floats")
 
     def __init__(self, terms: Iterable[Term], context: Context):
-        merged: dict = {}
+        if not isinstance(terms, (list, tuple)):
+            terms = list(terms)
         for t in terms:
             _check_term(t, context)
-            k = t[1:]
-            m = merged.get(k)
-            merged[k] = t if m is None else m.with_coeff(m.coeff + t.coeff)
-        kept = [t for t in merged.values() if not t.coeff.is_zero()]
-        kept.sort(key=Term.sort_key)
-        object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "_floats", None)
+        if len(terms) > 1:
+            merged: dict = {}
+            for t in terms:
+                k = t[1:]
+                m = merged.get(k)
+                merged[k] = t if m is None else m.with_coeff(m.coeff + t.coeff)
+            terms = [t for t in merged.values() if not t.coeff.is_zero()]
+            terms.sort(key=Term.sort_key)
+        elif terms and terms[0].coeff.is_zero():
+            terms = ()
+        _set(self, "terms", tuple(terms))
+        _set(self, "context", context)
+        _set(self, "_floats", None)
+
+    @classmethod
+    def _canonical(cls, terms: tuple, context: Context) -> "AnsatzFunction":
+        """The function of `terms`, which are already checked, merged,
+        nonzero and in canonical order: no check, merge or sort again."""
+        f = object.__new__(cls)
+        _set(f, "terms", terms)
+        _set(f, "context", context)
+        _set(f, "_floats", None)
+        return f
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("AnsatzFunction is immutable")
@@ -171,11 +190,13 @@ class AnsatzFunction:
             return other
         return AnsatzFunction(self.terms + other.terms, self.context)
 
+    # Negation and a nonzero factor change no term key and zero no
+    # coefficient, so the terms keep their canonical order.
     def __neg__(self):
         if not self.terms:
             return self
-        return AnsatzFunction(
-            [t.with_coeff(-t.coeff) for t in self.terms], self.context)
+        return AnsatzFunction._canonical(
+            tuple([t.with_coeff(-t.coeff) for t in self.terms]), self.context)
 
     def __sub__(self, other):
         return self + (-other)
@@ -184,8 +205,11 @@ class AnsatzFunction:
         if not self.terms:
             return self
         c = Scalar.of(c)
-        return AnsatzFunction(
-            [t.with_coeff(t.coeff * c) for t in self.terms], self.context)
+        if c.is_zero():
+            return _ZEROS[self.context]
+        return AnsatzFunction._canonical(
+            tuple([t.with_coeff(t.coeff * c) for t in self.terms]),
+            self.context)
 
     __mul__ = scale
     __rmul__ = scale
@@ -215,7 +239,7 @@ class AnsatzFunction:
                 f"axis {axis} out of range for context {self.context.value}")
         out: list[Term] = []
         _derive_terms(self.terms, axis, out)
-        return AnsatzFunction(out, self.context)
+        return _function(out, self.context)
 
     def _float_terms(self) -> list:
         """Per term, the float data `eval` needs, converted once."""
@@ -240,6 +264,8 @@ class AnsatzFunction:
             raise DomainError(
                 f"point has {len(coords)} coordinates, context needs "
                 f"{self.context.dimension}")
+        if not self.terms:
+            return 0j
         x1, x2 = float(coords[0]), float(coords[1])
         y1 = float(coords[2]) if len(coords) > 2 else 0.0
         y2 = float(coords[3]) if len(coords) > 3 else 0.0
@@ -299,6 +325,15 @@ class AnsatzFunction:
         return AnsatzFunction([_term_from_json(d) for d in data], context)
 
 
+_ZEROS = {c: AnsatzFunction((), c) for c in Context}
+
+
+def _function(terms: list, context: Context) -> AnsatzFunction:
+    """AnsatzFunction(terms, context); the context's one shared zero function
+    when there are no terms."""
+    return AnsatzFunction(terms, context) if terms else _ZEROS[context]
+
+
 # -- scalar (de)serialization -------------------------------------------------
 
 def scalar_to_json(s: Scalar):
@@ -318,9 +353,11 @@ MAX_INPUT_DIGITS = 100  # bounds the work of every later factorization
 
 def input_fraction(x) -> Fraction:
     """Fraction(x) for a number read from a file or the command line,
-    refusing more than MAX_INPUT_DIGITS digits in its numerator or
-    denominator.  A decimal exponent is read first, so that Fraction never
+    refusing a bool and more than MAX_INPUT_DIGITS digits in its numerator
+    or denominator.  A decimal exponent is read first, so that Fraction never
     expands one that, for any nonzero mantissa, makes the value too long."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a number")
     too_long = False
     if isinstance(x, str):
         try:
@@ -344,11 +381,7 @@ def scalar_from_json(data) -> Scalar:
     coeffs = [(input_fraction(re), input_fraction(im))
               for re, im in data["c"]]
     minpoly = [input_fraction(c) for c in data["min"]]
-    root = data["root"]
-    if isinstance(root, str):
-        root = int(root)
-    if type(root) is not int:  # a bool or a float is no root index
-        raise ValueError(f"'root' must be an integer, not {root!r}")
+    root = _input_int(data["root"], "root")
     if len(minpoly) not in (3, 4) or minpoly[-1] != 1:
         raise ValueError("'min' must be a monic quadratic or cubic, "
                          "ascending")
@@ -383,6 +416,19 @@ def _term_to_json(t: Term) -> dict:
     }
 
 
+def _input_int(x, key: str) -> int:
+    """An integer read from a file: an int that is no bool, or a string of
+    one; a float or a bool is refused, not truncated."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif type(x) is int:
+        return x
+    raise ValueError(f"'{key}' must be an integer, not {x!r}")
+
+
 def _term_from_json(d: dict) -> Term:
     exp, y = d["exp"], d.get("y", [0, 0])
     for key, pair in (("exp", exp), ("y", y)):
@@ -393,10 +439,10 @@ def _term_from_json(d: dict) -> Term:
         exp1=scalar_from_json(exp[0]),
         exp2=scalar_from_json(exp[1]),
         pow1=scalar_from_json(d.get("pow1", "0")),
-        logdeg=int(d.get("log", 0)),
-        deg2=int(d.get("x2", 0)),
-        fiberdeg1=int(y[0]),
-        fiberdeg2=int(y[1]),
+        logdeg=_input_int(d.get("log", 0), "log"),
+        deg2=_input_int(d.get("x2", 0), "x2"),
+        fiberdeg1=_input_int(y[0], "y"),
+        fiberdeg2=_input_int(y[1], "y"),
     )
 
 
@@ -451,7 +497,7 @@ def product(f: AnsatzFunction, g: AnsatzFunction) -> AnsatzFunction:
         raise FunctionAlgebraError("mixed contexts")
     out: list[Term] = []
     _product_terms(f.terms, g.terms, out)
-    return AnsatzFunction(out, f.context)
+    return _function(out, f.context)
 
 
 def _sum_product_terms(pairs, out: list) -> None:
@@ -468,7 +514,7 @@ def sum_products(pairs, context: Context) -> AnsatzFunction:
     the terms of every product are merged once, into one function."""
     out: list[Term] = []
     _sum_product_terms(pairs, out)
-    return AnsatzFunction(out, context)
+    return _function(out, context)
 
 
 # -- tensor formulas shared by the surface and the cotangent bundle ---------
@@ -477,15 +523,15 @@ def hessian(gamma, f: AnsatzFunction):
     """Hessian d_a d_b f - Gamma_ab^c d_c f as a symmetric n x n matrix."""
     n = len(gamma)
     d = [f.derive(a + 1) for a in range(n)]
-    minus_d = [-g for g in d]
+    minus_d = [(c, -g) for c, g in enumerate(d) if g.terms]
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             terms: list[Term] = []
             _derive_terms(d[a].terms, b + 1, terms)
-            _sum_product_terms(((gamma[c][a][b], minus_d[c])
-                                for c in range(n)), terms)
-            out[a][b] = out[b][a] = AnsatzFunction(terms, f.context)
+            _sum_product_terms(((gamma[c][a][b], g) for c, g in minus_d),
+                               terms)
+            out[a][b] = out[b][a] = _function(terms, f.context)
     return out
 
 
@@ -496,20 +542,26 @@ def riemann(gamma):
     n = len(gamma)
     context = gamma[0][0][0].context
     neg = [[[-g for g in row] for row in plane] for plane in gamma]
-    zero = AnsatzFunction([], context)
+    # by (i, j), the k with a nonzero symbol Gamma_ij^k
+    nonzero = [[[k for k in range(n) if gamma[k][i][j].terms]
+                for j in range(n)] for i in range(n)]
+    zero = _ZEROS[context]
     R = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a, b in itertools.combinations(range(n), 2):
         for c in range(n):
+            bc, ac = nonzero[b][c], nonzero[a][c]
+            if not (bc or ac):
+                continue
             for d in range(n):
                 terms: list[Term] = []
                 _derive_terms(gamma[d][b][c].terms, a + 1, terms)
                 _derive_terms(neg[d][a][c].terms, b + 1, terms)
                 _sum_product_terms(
-                    [(gamma[e][b][c], gamma[d][a][e]) for e in range(n)]
-                    + [(neg[e][a][c], gamma[d][b][e]) for e in range(n)],
-                    terms)
-                R[a][b][c][d] = AnsatzFunction(terms, context)
-                R[b][a][c][d] = -R[a][b][c][d]
+                    [(gamma[e][b][c], gamma[d][a][e]) for e in bc]
+                    + [(neg[e][a][c], gamma[d][b][e]) for e in ac], terms)
+                if terms:
+                    R[a][b][c][d] = f = AnsatzFunction(terms, context)
+                    R[b][a][c][d] = -f
     return R
 
 
@@ -517,8 +569,8 @@ def ricci_trace(R):
     """Ricci tensor rho_bc = sum_a R[a][b][c][a] of a `riemann` array."""
     n = len(R)
     context = R[0][0][0][0].context
-    return [[AnsatzFunction([t for a in range(n) for t in R[a][b][c][a].terms],
-                            context) for c in range(n)] for b in range(n)]
+    return [[_function([t for a in range(n) for t in R[a][b][c][a].terms],
+                       context) for c in range(n)] for b in range(n)]
 
 
 def shift_pow1(f: AnsatzFunction, delta) -> AnsatzFunction:
@@ -533,7 +585,10 @@ def to_bundle(f: AnsatzFunction) -> AnsatzFunction:
     """Pull a surface function back to the cotangent bundle (same terms)."""
     if f.context is Context.FOURD:
         return f
-    return AnsatzFunction(f.terms, Context.FOURD)
+    if not f.terms:
+        return _ZEROS[Context.FOURD]
+    # a surface term is a valid bundle term, in the same canonical order
+    return AnsatzFunction._canonical(f.terms, Context.FOURD)
 
 
 def substitute_linear(f: AnsatzFunction, mat) -> AnsatzFunction:

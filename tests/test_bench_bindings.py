@@ -5,16 +5,20 @@
 `_linalg.rank` and `_linalg.nullspace` from their `rows` and `ncols`
 arguments; `bench/run.py` clears the `surface` caches and reads
 `scalars._CTX_ROOTS`.  A change that renames or deletes one of these fails
-here, not only in a traced benchmark run.
+here, not only in a traced benchmark run, and so does one that stops a
+`verify` or `warp` call from reaching the traced 4-d names.
 """
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import pathlib
 import types
 
 import pytest
 
-from affineqe import _linalg, scalars, surface
+from affineqe import _linalg, cli, scalars, surface
 
 _TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -66,3 +70,27 @@ def test_sized_spans_keep_their_parameters(tracing):
     nullspace = list(inspect.signature(_linalg.nullspace).parameters)
     assert rank[0] == "rows"
     assert nullspace[:2] == ["rows", "ncols"]
+
+
+def test_traced_geometry_ops_reach_every_layer(tracing, tmp_path):
+    """`verify` and `warp` through `cli.main`, as the geometry workload runs
+    them, must reach the 4-d layer's traced names: a refactor that stops
+    calling one would read 0 in the per-layer figures."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"kind": "A", "coeffs": {
+        "111": "1", "112": "0", "121": "0", "122": "1", "221": "1",
+        "222": "0"}}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in (["verify", "--input", str(path), "--mu", "1/2"],
+                     ["warp", "--input", str(path), "--mu", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    for name in ("extension.CurvaturePack4.weyl_halves",
+                 "funcalg.product", "extension.verify_theorem_1_1",
+                 "warp.warped_einstein_report"):
+        assert metrics[f"{name}.calls"] > 0, name

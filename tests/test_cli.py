@@ -228,8 +228,10 @@ def test_env_seed_override(tmp_path, hyperbolic_path, monkeypatch, capsys):
     '"min": ["-2", "0", "1"], "root": 0.9}}}',
     '{"kind": "B", "coeffs": {"111": {"c": [["0", "0"], ["1", "0"]], '
     '"min": ["-2", "0", "1"], "root": true}}}',
+    '{"kind": "A", "coeffs": {"111": true}}',
 ], ids=["bad_kind", "zero_denominator", "coeffs_list", "top_level_list",
-        "float_coeff", "cubic_root_index", "float_root", "bool_root"])
+        "float_coeff", "cubic_root_index", "float_root", "bool_root",
+        "bool_coeff"])
 def test_bad_input_exit_2(capsys, tmp_path, text):
     p = tmp_path / "broken.json"
     p.write_text(text)
@@ -284,8 +286,21 @@ def test_quadratic_field_scalar_echoed_in_canonical_form(capsys, tmp_path):
     '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "y": [1]}], "phi12": [], '
     '"phi22": []}',
     '{"phi11": [{"coeff": "1", "exp": "00"}], "phi12": [], "phi22": []}',
+    '{"phi11": [{"coeff": true, "exp": ["0", "0"]}], "phi12": [], '
+    '"phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": [false, "0"]}], "phi12": [], '
+    '"phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "x2": true}], '
+    '"phi12": [], "phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "x2": 1.9}], '
+    '"phi12": [], "phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "log": 0.5}], '
+    '"phi12": [], "phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "y": [false, 0]}], '
+    '"phi12": [], "phi22": []}',
 ], ids=["zero_denominator", "top_level_list", "entry_not_list", "short_exp",
-        "short_y", "exp_string"])
+        "short_y", "exp_string", "bool_coeff", "exp_bool", "x2_bool",
+        "x2_float", "log_float", "y_bool"])
 def test_bad_phi_exit_2(capsys, tmp_path, text):
     conn_path = tmp_path / "a2.json"
     save_connection(A2, conn_path)

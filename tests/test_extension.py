@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from affineqe.extension import (
-    DeformationTensor, ExtensionError, build_extension,
+    CurvaturePack4, DeformationTensor, ExtensionError, build_extension,
     conformal_einstein_residual, curvature4, default_probe_points,
     gradient_norm_sq, verify_theorem_1_1, _frobenius,
 )
-from affineqe.funcalg import Context, Point, constant, exp_linear, monomial, to_bundle
+from affineqe.funcalg import (
+    AnsatzFunction, Context, Point, constant, exp_linear, monomial, product,
+    to_bundle,
+)
 from affineqe.surface import AffineConnection2, ricci
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
@@ -254,3 +258,162 @@ def test_fiber_distribution_parallel():
             for yi in (2, 3):
                 for xj in (0, 1):
                     assert pack.christoffel[xj][a][yi].is_zero()
+
+
+# -- dense reference: every tensor entry from every index, no zero skipped --
+
+FOURD = Context.FOURD
+ZERO4 = AnsatzFunction([], FOURD)
+REF_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+REF_EPS = {p: (-1) ** sum(p[i] > p[j] for i in range(4)
+                          for j in range(i + 1, 4))
+           for p in itertools.permutations(range(4))}
+
+
+def _total(fs):
+    out = ZERO4
+    for f in fs:
+        out = out + f
+    return out
+
+
+def _dot(pairs):
+    return _total(product(f, g) for f, g in pairs)
+
+
+def dense_christoffel(g, ginv):
+    dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
+          for a in range(4)]
+    return [[[_dot((ginv[c][d], dg[b][d][a] + dg[a][d][b] - dg[a][b][d])
+                   for d in range(4)).scale(Fraction(1, 2))
+              for b in range(4)] for a in range(4)] for c in range(4)]
+
+
+def dense_riemann_up(gamma):
+    return [[[[gamma[d][b][c].derive(a + 1) - gamma[d][a][c].derive(b + 1)
+               + _dot((gamma[e][b][c], gamma[d][a][e]) for e in range(4))
+               - _dot((gamma[e][a][c], gamma[d][b][e]) for e in range(4))
+               for d in range(4)] for c in range(4)] for b in range(4)]
+            for a in range(4)]
+
+
+def dense_ricci(R):
+    return [[_total(R[a][b][c][a] for a in range(4)) for c in range(4)]
+            for b in range(4)]
+
+
+def dense_lowered(R, g):
+    return [[[[_dot((R[a][b][d][e], g[e][c]) for e in range(4))
+               for d in range(4)] for c in range(4)] for b in range(4)]
+            for a in range(4)]
+
+
+def dense_weyl(g, ginv, Rm, rho):
+    tau = _dot((ginv[b][c], rho[b][c]) for b in range(4) for c in range(4))
+    P = [[(rho[a][b] - product(tau, g[a][b]).scale(Fraction(1, 6)))
+          .scale(Fraction(1, 2)) for b in range(4)] for a in range(4)]
+    return [[[[Rm[a][b][c][d] + _dot(((g[a][c], -P[b][d]), (g[a][d], P[b][c]),
+                                      (g[b][d], -P[a][c]), (g[b][c], P[a][d])))
+               for d in range(4)] for c in range(4)] for b in range(4)]
+            for a in range(4)]
+
+
+def dense_star(ginv):
+    return [[_dot((ginv[e][c].scale(REF_EPS[(a, b, e, f)]), ginv[f][d])
+                  for e in range(4) for f in range(4)
+                  if (a, b, e, f) in REF_EPS)
+             for c, d in REF_PAIRS] for a, b in REF_PAIRS]
+
+
+def dense_weyl_operator(W, ginv):
+    return [[_dot((W[a][b][e][f], product(ginv[e][c], ginv[f][d]))
+                  for e in range(4) for f in range(4))
+             for c, d in REF_PAIRS] for a, b in REF_PAIRS]
+
+
+def _matmul(x, y):
+    return [[_dot((x[i][k], y[k][j]) for k in range(6)) for j in range(6)]
+            for i in range(6)]
+
+
+def dense_weyl_halves(star, wop):
+    halves = []
+    for sign in (1, -1):
+        proj = [[star[i][j].scale(Fraction(sign, 2))
+                 + (constant(Fraction(1, 2), FOURD) if i == j else ZERO4)
+                 for j in range(6)] for i in range(6)]
+        halves.append(_matmul(proj, _matmul(wop, proj)))
+    return halves
+
+
+def assert_pack_matches_dense(pack):
+    g, ginv = pack.g, pack.g_inv
+    gamma = dense_christoffel(g, ginv)
+    assert pack.christoffel == gamma
+    R = dense_riemann_up(gamma)
+    assert pack.riemann_up == R
+    rho = dense_ricci(R)
+    assert pack.ricci == rho
+    Rm = dense_lowered(R, g)
+    assert pack.riemann == Rm
+    W = dense_weyl(g, ginv, Rm, rho)
+    assert pack.weyl == W
+    star = dense_star(ginv)
+    assert pack.star_operator() == star
+    wop = dense_weyl_operator(W, ginv)
+    assert pack.weyl_operator() == wop
+    assert list(pack.weyl_halves()) == dense_weyl_halves(star, wop)
+
+
+REF_VALUES = (0, 0, Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2)
+
+
+def _reference_phi(rng, ctx):
+    def coeff():
+        return rng.choice(REF_VALUES[2:])
+    if ctx is Context.TYPE_A:
+        exp = (rng.choice(REF_VALUES), rng.choice(REF_VALUES))
+        return DeformationTensor(
+            monomial(ctx, coeff=coeff(), exp=exp, x2=rng.randint(0, 2)),
+            monomial(ctx, coeff=coeff(), x2=1)
+            + monomial(ctx, coeff=coeff(), exp=(0, rng.choice((1, -2)))),
+            monomial(ctx, coeff=coeff(), pow1=1, x2=rng.randint(1, 2)))
+    return DeformationTensor(
+        monomial(ctx, coeff=coeff(), pow1=rng.choice(REF_VALUES), x2=1),
+        monomial(ctx, coeff=coeff(), x2=2)
+        + monomial(ctx, coeff=coeff(), pow1=Fraction(1, 2), log=1),
+        monomial(ctx, coeff=coeff(), pow1=-1, x2=rng.randint(1, 2)))
+
+
+def test_curvature_matches_dense_reference():
+    rng = random.Random(20261019)
+    conns = [AffineConnection2.type_a(c111=1, c121=2, c122=-1, c222=1)]
+    while len(conns) < 44:
+        kind = "A" if len(conns) % 2 else "B"
+        conns.append(AffineConnection2(
+            kind, tuple(rng.choice(REF_VALUES) for _ in range(6))))
+    for i, conn in enumerate(conns):
+        phi = _reference_phi(rng, conn.context) if i % 3 == 2 else None
+        assert_pack_matches_dense(curvature4(build_extension(conn, phi)))
+
+
+@pytest.mark.parametrize("coeffs,index", [
+    ((Fraction(-1, 2), 0, 1, -2, 1, 1), 0),   # exponent in Q(i, sqrt 13)
+    ((0, -2, 1, 1, -1, -2), 1),               # exponents in a cubic field
+], ids=["quadratic", "cubic"])
+def test_conformal_curvature_matches_dense_reference(coeffs, index):
+    from affineqe.qesolver import eigenspace
+
+    conn = AffineConnection2("A", coeffs)
+    f = eigenspace(conn, -1).basis[index]
+    (t,) = f.terms
+    assert not t.exp2.is_gaussian_rational()
+    factor = monomial(FOURD, coeff=t.coeff ** -2,
+                      exp=(t.exp1 * -2, t.exp2 * -2))
+    factor_inv = monomial(FOURD, coeff=t.coeff ** 2,
+                          exp=(t.exp1 * 2, t.exp2 * 2))
+    m = build_extension(conn)
+    ghat = [[product(factor, m.g[a][b]) for b in range(4)] for a in range(4)]
+    ghat_inv = [[product(factor_inv, m.g_inv[a][b]) for b in range(4)]
+                for a in range(4)]
+    assert_pack_matches_dense(CurvaturePack4(ghat, ghat_inv))

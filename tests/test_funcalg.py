@@ -8,7 +8,7 @@ import pytest
 from affineqe.funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
     constant, exp_linear, monomial, product, rank_basis, substitute_linear,
-    sum_products, x1_power,
+    sum_products, to_bundle, x1_power,
 )
 from affineqe.scalars import Scalar
 
@@ -298,6 +298,75 @@ def test_zero_function_identities():
         _ = zero + x1_power(Fraction(1, 2))   # Type B
     with pytest.raises(FunctionAlgebraError):
         _ = x1_power(Fraction(1, 2)) + zero
+
+
+_SQRT2 = Scalar.sqrt_rational(2)
+_CUBIC = Scalar.algebraic([-2, 0, 0, 1], 0)   # the real cube root of 2
+_FIELDS = {
+    "rational": lambda rng: Scalar(Fraction(rng.randint(-2, 2),
+                                            rng.randint(1, 2))),
+    "gaussian": lambda rng: Scalar(rng.randint(-1, 1), rng.randint(-1, 1)),
+    "sqrt2": lambda rng: rng.randint(-1, 1) + _SQRT2 * rng.randint(-1, 1),
+    "cubic": lambda rng: (rng.randint(-1, 1) + _CUBIC * rng.randint(-1, 1)
+                          + _CUBIC * _CUBIC * rng.randint(0, 1)),
+}
+
+
+def _field_function(rng, context, draw):
+    """Up to five seeded terms over one field; their keys often collide
+    and their coefficients are sometimes zero."""
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        if context is Context.TYPE_B:
+            exp, pow1, log = (Scalar(0), Scalar(0)), draw(rng), rng.randint(0, 1)
+        else:
+            exp, pow1, log = (draw(rng), draw(rng)), Scalar(rng.randint(0, 1)), 0
+        fiber = ((rng.randint(0, 1), rng.randint(0, 1))
+                 if context is Context.FOURD else (0, 0))
+        terms.append(Term(draw(rng), *exp, pow1, log, rng.randint(0, 1),
+                          *fiber))
+    return AnsatzFunction(terms, context)
+
+
+@pytest.mark.parametrize("field", list(_FIELDS))
+def test_fast_paths_match_a_full_rebuild(field):
+    """Negation, scaling, to_bundle, derive, product and sum_products skip
+    the merge or the sort where they can; each result must equal a full
+    merge-and-sort of its own terms, and a zero result has no terms."""
+    rng = random.Random(f"rebuild:{field}")
+    draw = _FIELDS[field]
+    seen_zero = seen_long = 0
+    for _ in range(40):
+        context = rng.choice(list(Context))
+        f = _field_function(rng, context, draw)
+        g = _field_function(rng, context, draw)
+        results = [f.scale(draw(rng)), f.scale(0), -f, product(f, g),
+                   sum_products([(f, g), (g, f), (f, -f)], context)]
+        results += [f.derive(axis)
+                    for axis in range(1, context.dimension + 1)]
+        if context is not Context.FOURD:
+            results.append(to_bundle(f))
+        for h in results:
+            rebuilt = AnsatzFunction(list(h.terms), h.context)
+            assert type(h.terms) is tuple
+            assert h.terms == rebuilt.terms and h == rebuilt
+            seen_zero += h.terms == ()
+            seen_long += len(h.terms) > 2
+    assert seen_zero and seen_long
+
+
+def test_zero_function_eval():
+    for context in Context:
+        zero = AnsatzFunction([], context)
+        assert zero.terms == ()
+        assert AnsatzFunction([Term(Scalar(0), pow1=Scalar(1))],
+                              context).terms == ()
+        value = zero.eval((0.0, 0.0, 0.0, 0.0))
+        assert type(value) is complex and value == 0j
+        with pytest.raises(DomainError):
+            zero.eval((1.0,))
+    with pytest.raises(DomainError):
+        AnsatzFunction([], Context.FOURD).eval(Point((1.0, 2.0)))
 
 
 def test_term_key_is_the_seven_exponent_fields():
