@@ -59,11 +59,7 @@ class DeformationTensor:
         return cls(z, z, z)
 
     def entry(self, i: int, j: int) -> AnsatzFunction:
-        if (i, j) in ((0, 0),):
-            return self.phi11
-        if (i, j) in ((0, 1), (1, 0)):
-            return self.phi12
-        return self.phi22
+        return (self.phi11, self.phi12, self.phi22)[i + j]
 
     def context(self) -> Context:
         return self.phi11.context
@@ -89,6 +85,10 @@ class ExtensionMetric:
 
     def eval_matrix(self, point) -> list:
         return [[self.g[a][b].eval(point) for b in range(4)] for a in range(4)]
+
+    @cached_property
+    def _curvature(self) -> "CurvaturePack4":
+        return CurvaturePack4(self.g, self.g_inv)
 
 
 def build_extension(conn: AffineConnection2,
@@ -326,9 +326,9 @@ def _frobenius(matrix, point) -> float:
 
 
 def curvature4(metric: ExtensionMetric) -> CurvaturePack4:
-    """Curvature package for an extension metric; its tensors are built on
-    first use."""
-    return CurvaturePack4(metric.g, metric.g_inv)
+    """Curvature package of an extension metric: one per metric, whose
+    tensors are built on first use."""
+    return metric._curvature
 
 
 # -- helpers on functions ---------------------------------------------------
@@ -345,11 +345,9 @@ def gradient_norm_sq(metric_or_pack, F: AnsatzFunction) -> AnsatzFunction:
 def default_probe_points(seed: int = 0, count: int = 10) -> list:
     """Deterministic probes in [1,2] x [-1,1] x [-1,1]^2 (safe for Type B)."""
     rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(Point((rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0),
-                          rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))))
-    return pts
+    return [Point((rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0),
+                   rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+            for _ in range(count)]
 
 
 # -- theorem verification -----------------------------------------------------
@@ -429,11 +427,27 @@ def conformal_einstein_residual(metric: ExtensionMetric, f: AnsatzFunction,
                                 points) -> float:
     """Trace-free Einstein residual of e^{-fhat} g for a mu = -1 solution f.
 
-    The conformal factor e^{-fhat} = (pi*f)^{-2} stays inside the algebra for
+    With w = pi*f the conformal factor is e^{-fhat} = w^{-2}, so the metric
+    is ghat = e^{2 sigma} g with sigma = -log w.  In dimension 4 the
+    trace-free part of Ric(ghat) is the g-trace-free part of
+    Ric_g - 2 (Hess_g sigma - d sigma x d sigma) = Ric_g + 2 Hess_g(w) / w,
+    so the residual reads the curvature of g from `curvature4(metric)` and
+    builds no curvature of ghat.  1/w stays inside the algebra for
     single-term solutions (a power of x1, or a single exponential).
     """
     if not is_solution(metric.conn, Fraction(-1), f):
         raise ExtensionError("conformal factor needs a mu = -1 solution")
+    entries = [v for row in _conformal_trace_free_ricci(metric, f)
+               for v in row if not v.is_zero()]
+    worst = 0.0
+    for p in points:
+        for entry in entries:
+            worst = max(worst, abs(entry.eval(p)))
+    return worst
+
+
+def _conformal_trace_free_ricci(metric: ExtensionMetric, f: AnsatzFunction):
+    """The g-trace-free part of Ric_g + 2 Hess_g(w) / w, w = pi*f, exactly."""
     if len(f.terms) != 1:
         raise ExtensionError("conformal factor leaves the algebra for "
                              "multi-term solutions")
@@ -441,26 +455,14 @@ def conformal_einstein_residual(metric: ExtensionMetric, f: AnsatzFunction,
     if t.logdeg or t.deg2:
         raise ExtensionError("conformal factor leaves the algebra for "
                              "log or x2 dependent solutions")
-    inv_sq = Term(t.coeff ** (-2), t.exp1 * Fraction(-2),
-                  t.exp2 * Fraction(-2), t.pow1 * Fraction(-2), 0, 0, 0, 0)
-    factor = AnsatzFunction([inv_sq], Context.FOURD)
-    sq = Term(t.coeff ** 2, t.exp1 * 2, t.exp2 * 2, t.pow1 * 2, 0, 0, 0, 0)
-    factor_inv = AnsatzFunction([sq], Context.FOURD)
-    ghat = tuple(tuple(product(factor, metric.g[a][b]) for b in range(4))
-                 for a in range(4))
-    ghat_inv = tuple(tuple(product(factor_inv, metric.g_inv[a][b])
-                           for b in range(4)) for a in range(4))
-    pack = CurvaturePack4(ghat, ghat_inv)
+    pack = curvature4(metric)
+    inverse = AnsatzFunction([Term(t.coeff.inverse(), -t.exp1, -t.exp2,
+                                   -t.pow1)], Context.FOURD)
+    hw = hessian(pack.christoffel, to_bundle(f))
+    x = [[pack.ricci[a][b] + product(inverse, hw[a][b]).scale(2)
+          for b in range(4)] for a in range(4)]
+    trace = sum_products(((metric.g_inv[a][b], x[a][b])
+                          for a in range(4) for b in range(4)), Context.FOURD)
     quarter = Scalar(Fraction(1, 4))
-    residual = [[pack.ricci[a][b]
-                 - product(pack.scalar, ghat[a][b]).scale(quarter)
-                 for b in range(4)] for a in range(4)]
-    if all(v.is_zero() for row in residual for v in row):
-        return 0.0
-    worst = 0.0
-    for p in points:
-        for row in residual:
-            for entry in row:
-                if not entry.is_zero():
-                    worst = max(worst, abs(entry.eval(p)))
-    return worst
+    return [[x[a][b] - product(trace, metric.g[a][b]).scale(quarter)
+             for b in range(4)] for a in range(4)]

@@ -5,10 +5,12 @@ Type B surfaces and returns exact bases built from the case-specific ansatz
 constructions.  Where a case gives a finite span of exponential-polynomial
 (Type A) or power-log (Type B) monomials instead of a basis, `_solve_span`
 solves the operator's closed-form action on those monomials by one sparse
-elimination, in which monomials with distinct exponentials never meet.
-Either way, every returned basis element is certified by `_certify`: an exact
-residual check through `qe_residual`, which does not use the closed-form
-rows, and an independence check.
+elimination, in which monomials with distinct exponentials never meet; most
+spans grow in degree only until the kernel reaches the theorem's dimension.
+Either way, `eigenspace` certifies the basis it returns once, in the
+coordinates it returns it in, by `_certify`: an exact residual check through
+`qe_residual`, which does not use the closed-form rows, and an independence
+check.
 `jet_dimension_oracle` computes the same dimension by a completely separate
 route (prolongation to a first-order system and stabilization of the
 integrability obstruction), which is what the acceptance sweeps compare
@@ -214,59 +216,67 @@ def _operator_columns(conn: AffineConnection2, mu,
 
 
 def _solve_span(conn: AffineConnection2, mu, span_terms: Sequence[Term],
-                label: str, dim: int):
-    """Certified kernel of the quasi-Einstein operator on span(span_terms),
-    of dimension `dim` by the case's theorem.
+                label: str, dim: int, degree=lambda t: 0):
+    """Kernel of the quasi-Einstein operator on span(span_terms), of
+    dimension `dim` by the case's theorem.
 
     span_terms are unit monomials with distinct keys.  The kernel of their
     closed-form coefficient columns (`_operator_columns`) comes from one
     sparse elimination (`_linalg.nullspace`), which never combines two Type
     A exponent pairs, or two Type B exponents that differ by a non-integer.
-    Each kernel vector becomes one basis element with leading coefficient 1;
-    the basis goes through `_certify`, then its length is checked.
+    Each kernel vector becomes one basis element with leading coefficient 1.
+    The span grows through the terms of `degree` <= 0, 1, ... until its
+    kernel reaches `dim`: a smaller span is an in-order subsequence of
+    span_terms, so its kernel is then the whole kernel, with the same
+    reduced basis.  `eigenspace` certifies the basis; a wrong length here is
+    a residual failure if a kernel element fails `qe_residual` (wrong
+    closed-form rows), else a dimension mismatch.
     """
-    rows: dict = {}  # row key -> sparse row over the monomials
-    for j, col in enumerate(_operator_columns(conn, mu, span_terms)):
-        for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
+    for k in range(max(map(degree, span_terms), default=0) + 1):
+        terms = [t for t in span_terms if degree(t) <= k]
+        rows: dict = {}  # row key -> sparse row over the monomials
+        for j, col in enumerate(_operator_columns(conn, mu, terms)):
+            for key, v in col.items():
+                rows.setdefault(key, {})[j] = v
+        kernel = _linalg.nullspace(list(rows.values()), len(terms))
+        if len(kernel) >= dim:
+            break
     out = []
-    for vec in _linalg.nullspace(list(rows.values()), len(span_terms)):
-        f = AnsatzFunction([t.with_coeff(v) for v, t in zip(vec, span_terms)
+    for vec in kernel:
+        f = AnsatzFunction([t.with_coeff(v) for v, t in zip(vec, terms)
                             if not v.is_zero()], conn.context)
         out.append(f.scale(f.terms[0].coeff.inverse()))
-    _certify(conn, mu, out, label)
     if len(out) != dim:
+        for f in out:
+            if not is_solution(conn, mu, f):
+                raise SolverError(f"{label}: kernel element fails the "
+                                  f"residual check: {f!r}")
         raise SolverError(f"{label}: expected dimension {dim}, got {len(out)}")
     return out
 
 
+def _degree_a(t: Term) -> int:  # p + q of e^{b.x} x1^p x2^q
+    return int(t.pow1.as_fraction()) + t.deg2
+
+
+def _degree_b(t: Term) -> int:  # l + q of x1^alpha log(x1)^l x2^q
+    return t.logdeg + t.deg2
+
+
 def _span_terms_a(pairs, deg_max=2):
-    """Exp-polynomial monomials e^{b1 x1 + b2 x2} x1^p x2^q, p+q <= deg_max."""
-    seen = set()
-    terms = []
-    for (b1, b2) in pairs:
-        key = (b1, b2)
-        if key in seen:
-            continue
-        seen.add(key)
-        for p in range(deg_max + 1):
-            for q in range(deg_max + 1 - p):
-                terms.append(Term(Scalar(1), b1, b2, Scalar(p), 0, q))
-    return terms
+    """Exp-polynomial monomials e^{b1 x1 + b2 x2} x1^p x2^q, p+q <= deg_max,
+    for each distinct pair in turn."""
+    return [Term(Scalar(1), b1, b2, Scalar(p), 0, q)
+            for b1, b2 in dict.fromkeys(pairs)
+            for p in range(deg_max + 1) for q in range(deg_max + 1 - p)]
 
 
 def _span_terms_b(alphas, log_max=2, deg2_max=2):
-    seen = set()
-    terms = []
-    for a in alphas:
-        a = Scalar.of(a)
-        if a in seen:
-            continue
-        seen.add(a)
-        for l in range(log_max + 1):
-            for q in range(deg2_max + 1):
-                terms.append(Term(Scalar(1), Scalar(0), Scalar(0), a, l, q))
-    return terms
+    """Power-log monomials x1^a log(x1)^l x2^q, l <= log_max, q <= deg2_max,
+    for each distinct exponent in turn."""
+    return [Term(Scalar(1), Scalar(0), Scalar(0), a, l, q)
+            for a in dict.fromkeys(map(Scalar.of, alphas))
+            for l in range(log_max + 1) for q in range(deg2_max + 1)]
 
 
 def _certify(conn, mu, basis, label):
@@ -405,14 +415,13 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
     mus = Scalar(mu)
     if ric.is_flat:
         terms = _span_terms_a(_flat_weight_pairs(conn), deg_max=2)
-        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3)
+        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3, _degree_a)
         return EigenspaceDescription(tuple(basis), "Thm1.5(3) flat", mu, conn)
     rank = ric.rank_s
     if mu == 0:
         if rank == 2:
-            basis = [constant(1, Context.TYPE_A)]
-            return EigenspaceDescription(tuple(basis), "Thm1.10(1) trivial",
-                                         mu, conn)
+            return EigenspaceDescription((constant(1, Context.TYPE_A),),
+                                         "Thm1.10(1) trivial", mu, conn)
         rotated, change, rho22 = _rank1_frame(conn, ric)
         a = rotated.coefficient(2, 2, 2)
         one = constant(1, Context.TYPE_A)
@@ -422,7 +431,6 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
         else:
             basis = [one, monomial(Context.TYPE_A, x2=1)]
             label = "Thm1.10(1b)"
-        _certify(rotated, mu, basis, label)
         return EigenspaceDescription(tuple(basis), label, mu, rotated, change)
     if mu == -1:
         if rank == 1:
@@ -448,13 +456,9 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
                 else:
                     third = x1e + _exp2(c, extra_deg2=2,
                                         coeff=e * Fraction(1, 2))
-            basis.append(third)
-            label = "Thm1.10(2) rank1"
-            _certify(rotated, mu, basis, label)
-            return EigenspaceDescription(tuple(basis), label, mu, rotated,
-                                         change)
-        pairs = _conic_pairs(conn, ric.r_s)
-        terms = _span_terms_a(pairs, deg_max=2)
+            return EigenspaceDescription((*basis, third), "Thm1.10(2) rank1",
+                                         mu, rotated, change)
+        terms = _span_terms_a(_conic_pairs(conn, ric.r_s), deg_max=2)
         basis = _solve_span(conn, mu, terms, "Thm1.10(2) rank2", 3)
         return EigenspaceDescription(tuple(basis), "Thm1.10(2) rank2", mu,
                                      conn)
@@ -470,7 +474,6 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
     else:
         basis = [_exp2(roots[0]), _exp2(roots[1])]
         label = "Thm1.10(3) rank1"
-    _certify(rotated, mu, basis, label)
     return EigenspaceDescription(tuple(basis), label, mu, rotated, change)
 
 
@@ -533,7 +536,6 @@ def _mu0_type_b(conn: AffineConnection2, mu, label_suffix=""):
             label = "Thm1.14(3)"
     if len(basis) > 2:
         raise SolverError("non-flat Yamabe space cannot exceed dimension 2")
-    _certify(conn, 0, basis, label)
     return EigenspaceDescription(tuple(basis), label + label_suffix, mu, conn)
 
 
@@ -542,7 +544,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     mus = Scalar(mu)
     if ric.is_flat:
         terms = _span_terms_b(_flat_b_candidates(conn), log_max=2, deg2_max=2)
-        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3)
+        basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3, _degree_b)
         return EigenspaceDescription(tuple(basis), "Thm1.5(3) flat", mu, conn)
     if _all_zero(ric.r_s):
         return _mu0_type_b(conn, mu, label_suffix=" [rho_s=0]")
@@ -556,7 +558,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                 cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
                 terms = _span_terms_b(cands, log_max=2, deg2_max=1)
                 label = "Thm1.13(1) alsoA"
-                basis = _solve_span(conn, mu, terms, label, 3)
+                basis = _solve_span(conn, mu, terms, label, 3, _degree_b)
                 return EigenspaceDescription(tuple(basis), label, mu, conn)
             normalized, record = normalize_type_b(conn)
             v = normalized.coefficient(1, 2, 2)
@@ -564,7 +566,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
             terms = _span_terms_b(cands, log_max=2, deg2_max=2)
             vtxt = str(v.as_fraction()) if v.is_rational() else repr(v)
             label = f"Thm1.13(2) v={vtxt}"
-            basis = _solve_span(normalized, mu, terms, label, 3)
+            basis = _solve_span(normalized, mu, terms, label, 3, _degree_b)
             return EigenspaceDescription(tuple(basis), label, mu, normalized,
                                          CoordinateChange(record.matrix),
                                          record)
@@ -572,11 +574,8 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
         flags = []
         if cm["221"].is_zero():
             if cm["121"] == cm["222"] and not cm["121"].is_zero():
-                alpha = cm["122"]
-                basis = [_b_mono(alpha)]
-                _certify(conn, mu, basis, "Thm1.15(1)")
-                return EigenspaceDescription(tuple(basis), "Thm1.15(1)", mu,
-                                             conn)
+                return EigenspaceDescription((_b_mono(cm["122"]),),
+                                             "Thm1.15(1)", mu, conn)
             return EigenspaceDescription((), "Thm1.15 none", mu, conn)
         normalized, record = normalize_type_b(conn)
         change = CoordinateChange(record.matrix)
@@ -589,12 +588,9 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
         if opposite and not match:
             flags.append("eps-pairing-sensitive")
         if match:
-            alpha = n["111"] - n["122"] - 1
-            basis = [_b_mono(alpha)]
-            _certify(normalized, mu, basis, "Thm1.15(2)")
-            return EigenspaceDescription(tuple(basis), "Thm1.15(2)", mu,
-                                         normalized, change, record,
-                                         tuple(flags))
+            return EigenspaceDescription((_b_mono(n["111"] - n["122"] - 1),),
+                                         "Thm1.15(2)", mu, normalized, change,
+                                         record, tuple(flags))
         return EigenspaceDescription((), "Thm1.15 none", mu, normalized,
                                      change, record, tuple(flags))
     # mu outside {0, -1}
@@ -602,7 +598,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
         cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
         terms = _span_terms_b(cands, log_max=2, deg2_max=1)
         label = "Thm6.1(2) TypeA-form"
-        basis = _solve_span(conn, mu, terms, label, 2)
+        basis = _solve_span(conn, mu, terms, label, 2, _degree_b)
         return EigenspaceDescription(tuple(basis), label, mu, conn)
     cm = conn.coeff_map()
     if cm["221"].is_zero():
@@ -646,7 +642,6 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
         basis.append(_b_mono(alpha, x2=1)
                      - _b_mono(alpha + 1, coeff=2 * n["112"]))
         label = "Thm1.17(2)"
-    _certify(normalized, mu, basis, label)
     return EigenspaceDescription(tuple(basis), label, mu, normalized, change,
                                  record, tuple(flags))
 
@@ -656,21 +651,23 @@ def eigenspace(conn: AffineConnection2, mu, *,
     """Closed-form solution space of H f = mu f rho_s with explicit basis.
 
     Dimensions and case labels come from the classification case tree; bases
-    come from the per-case ansatz constructions and are residual-certified.
-    By default bases are expressed in the solver's normalized coordinates
-    (see `change`/`normalization`); `input_coords=True` maps them back.
+    come from the per-case ansatz constructions.  By default bases are
+    expressed in the solver's normalized coordinates (see
+    `change`/`normalization`); `input_coords=True` maps them back.  The
+    basis is residual-certified once, in the coordinates it is returned in.
     """
     mu = Fraction(mu)
     if conn.kind == "A":
         desc = _eigenspace_a(conn, mu)
     else:
         desc = _eigenspace_b(conn, mu)
+    label = desc.case_label
     if input_coords and not desc.change.is_identity:
-        mapped = tuple(desc.basis_in_input_coordinates())
-        desc = EigenspaceDescription(mapped, desc.case_label, mu, conn,
-                                     IDENTITY_CHANGE, desc.normalization,
-                                     desc.flags)
-        _certify(conn, mu, list(mapped), desc.case_label + " [input coords]")
+        desc = EigenspaceDescription(
+            tuple(desc.basis_in_input_coordinates()), label, mu, conn,
+            IDENTITY_CHANGE, desc.normalization, desc.flags)
+        label += " [input coords]"
+    _certify(desc.solver_connection, mu, desc.basis, label)
     return desc
 
 
@@ -804,6 +801,8 @@ def potential_residual_at(f: AnsatzFunction, hess, rho, mu: Fraction, points,
     """
     n = len(hess)
     d = [f.derive(a + 1) for a in range(n)]
+    # the complex values Fraction's mixed arithmetic would convert them to
+    scale, half_mu = complex(-2 / mu), complex(Fraction(mu, 2))
     worst = 0.0
     for p in points:
         fv = f.eval(p)
@@ -811,13 +810,12 @@ def potential_residual_at(f: AnsatzFunction, hess, rho, mu: Fraction, points,
             raise DomainError(f"{name} must be positive at probe {p}")
         fv = fv.real
         grad = [d[a].eval(p) for a in range(n)]
-        fgrad = [(-2 / mu) * grad[a] / fv for a in range(n)]
+        fgrad = [scale * grad[a] / fv for a in range(n)]
         for a in range(n):
             for b in range(n):
-                hf = (-2 / mu) * (hess[a][b].eval(p) / fv
-                                  - grad[a] * grad[b] / fv ** 2)
-                val = (hf + rho[a][b].eval(p)
-                       - Fraction(mu, 2) * fgrad[a] * fgrad[b])
+                hf = scale * (hess[a][b].eval(p) / fv
+                              - grad[a] * grad[b] / fv ** 2)
+                val = hf + rho[a][b].eval(p) - half_mu * fgrad[a] * fgrad[b]
                 worst = max(worst, abs(val))
     return worst
 

@@ -7,12 +7,14 @@ import pytest
 from affineqe.extension import (
     CurvaturePack4, DeformationTensor, ExtensionError, build_extension,
     conformal_einstein_residual, curvature4, default_probe_points,
-    gradient_norm_sq, verify_theorem_1_1, _frobenius,
+    gradient_norm_sq, verify_theorem_1_1, _conformal_trace_free_ricci,
+    _frobenius,
 )
 from affineqe.funcalg import (
-    AnsatzFunction, Context, Point, constant, exp_linear, monomial, product,
-    to_bundle,
+    AnsatzFunction, Context, Point, Term, constant, exp_linear, monomial,
+    product, to_bundle,
 )
+from affineqe.scalars import Scalar, roots_of_monic
 from affineqe.surface import AffineConnection2, ricci
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
@@ -417,3 +419,91 @@ def test_conformal_curvature_matches_dense_reference(coeffs, index):
     ghat_inv = [[product(factor_inv, m.g_inv[a][b]) for b in range(4)]
                 for a in range(4)]
     assert_pack_matches_dense(CurvaturePack4(ghat, ghat_inv))
+
+
+# -- conformal change: the law against the curvature of e^{-fhat} g ----------
+
+def reference_conformal_residual(metric, f):
+    """Trace-free Ricci tensor of e^{-fhat} g = (pi*f)^{-2} g from that
+    metric's own Levi-Civita curvature, for a single-term f."""
+    (t,) = f.terms
+    factor = AnsatzFunction([Term(t.coeff ** -2, t.exp1 * -2, t.exp2 * -2,
+                                  t.pow1 * -2)], FOURD)
+    factor_inv = AnsatzFunction([Term(t.coeff ** 2, t.exp1 * 2, t.exp2 * 2,
+                                      t.pow1 * 2)], FOURD)
+    ghat = [[product(factor, metric.g[a][b]) for b in range(4)]
+            for a in range(4)]
+    ghat_inv = [[product(factor_inv, metric.g_inv[a][b]) for b in range(4)]
+                for a in range(4)]
+    pack = CurvaturePack4(ghat, ghat_inv)
+    return [[pack.ricci[a][b]
+             - product(pack.scalar, ghat[a][b]).scale(Fraction(1, 4))
+             for b in range(4)] for a in range(4)]
+
+
+# generators of the exponent fields: Q, Q(sqrt 3), Q(i, sqrt 7), and the
+# cubic field of x^3 - x - 1 (one real and two complex embeddings)
+CONFORMAL_FIELDS = {
+    "rational": [Scalar(1)],
+    "quadratic": (roots_of_monic([Fraction(-3), Fraction(0), Fraction(1)])
+                  + roots_of_monic([Fraction(2), Fraction(1), Fraction(1)])),
+    "cubic": roots_of_monic([Fraction(-1), Fraction(-1), Fraction(0),
+                             Fraction(1)]),
+}
+
+
+def _reference_w(rng, ctx, field):
+    """c x1^p e^{a1 x1 + a2 x2} (Type A) or c x1^alpha (Type B), with a1, a2
+    or alpha in the field."""
+    theta = rng.choice(CONFORMAL_FIELDS[field])
+
+    def value():
+        return Scalar(rng.choice(REF_VALUES)) + theta * rng.choice(
+            REF_VALUES[2:])
+
+    coeff = Scalar(rng.choice(REF_VALUES[2:]))
+    if ctx is Context.TYPE_A:
+        term = Term(coeff, value(), value(), Scalar(rng.randint(0, 1)))
+    else:
+        term = Term(coeff, pow1=value())
+    return AnsatzFunction([term], ctx)
+
+
+def test_conformal_law_matches_reference():
+    rng = random.Random(20261020)
+    draws = ([("A", field) for field in CONFORMAL_FIELDS] * 8
+             + [("B", "rational"), ("B", "quadratic")] * 6)
+    nonzero = 0
+    for i, (kind, field) in enumerate(draws):
+        conn = AffineConnection2(kind, tuple(rng.choice(REF_VALUES)
+                                             for _ in range(6)))
+        phi = _reference_phi(rng, conn.context) if i % 4 in (1, 2) else None
+        metric = build_extension(conn, phi)
+        w = _reference_w(rng, conn.context, field)
+        law = _conformal_trace_free_ricci(metric, w)
+        assert law == reference_conformal_residual(metric, w), (conn, w)
+        nonzero += any(v.terms for row in law for v in row)
+    assert len(draws) >= 30 and nonzero >= len(draws) // 2
+
+
+@pytest.mark.parametrize("conn", [
+    AffineConnection2.type_a(c111=2, c112=1, c221=1),   # cubic exponents
+    AffineConnection2("A", (Fraction(-1, 2), 0, 1, -2, 1, 1)),  # quadratic
+    A2, HYPERBOLIC, NONSYM,
+], ids=["cubic", "quadratic", "A2", "hyperbolic", "nonsym"])
+def test_conformal_residual_of_solutions_matches_reference(conn):
+    from affineqe.qesolver import eigenspace
+
+    rng = random.Random(5)
+    single = [f for f in eigenspace(conn, -1, input_coords=True).basis
+              if len(f.terms) == 1 and not (f.terms[0].logdeg
+                                            or f.terms[0].deg2)]
+    assert single
+    for f in single:
+        for phi in (None, _reference_phi(rng, conn.context)):
+            metric = build_extension(conn, phi)
+            ref = [v for row in reference_conformal_residual(metric, f)
+                   for v in row if v.terms]
+            want = max((abs(v.eval(p)) for p in POINTS for v in ref),
+                       default=0.0)
+            assert conformal_einstein_residual(metric, f, POINTS) == want

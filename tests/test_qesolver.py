@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from affineqe import _linalg, qesolver
+from affineqe import _linalg, qesolver, surface
 from affineqe.funcalg import (
     AnsatzFunction, Context, Term, constant, exp_linear, monomial, rank_basis,
 )
@@ -14,7 +14,9 @@ from affineqe.qesolver import (
     nonlinear_transform, qe_residual, realize_real_basis,
 )
 from affineqe.scalars import Scalar
-from affineqe.surface import AffineConnection2, ricci
+from affineqe.surface import (
+    AffineConnection2, is_strongly_projectively_flat, ricci, type_flags,
+)
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
 HYPERBOLIC = AffineConnection2.type_b(c111=-1, c122=-1, c221=1)
@@ -607,6 +609,84 @@ def test_solve_span_checks_the_dimension():
     with pytest.raises(SolverError,
                        match=r"^rank2: expected dimension 2, got 3$"):
         qesolver._solve_span(conn, -1, terms, "rank2", 2)
+
+
+SIZED_CASES = ("Thm1.5(3) flat A", "Thm1.5(3) flat B", "Thm1.13(1) alsoA",
+               "Thm1.13(2)", "Thm6.1(2) TypeA-form")
+
+
+def test_sized_spans_match_the_full_span(monkeypatch):
+    """Each sized span gives the full span's basis term for term, and every
+    sized case stops at a smaller span on some seeded input."""
+    solve, columns = qesolver._solve_span, qesolver._operator_columns
+    widths = []  # span width of each elimination
+    seen = {case: [0, 0] for case in SIZED_CASES}  # inputs, smaller stops
+
+    def recording_columns(conn, mu, terms):
+        widths.append(len(terms))
+        return columns(conn, mu, terms)
+
+    def checked(conn, mu, terms, label, dim, degree=lambda t: 0):
+        widths.clear()
+        sized = solve(conn, mu, terms, label, dim, degree)
+        last = widths[-1]
+        full = solve(conn, mu, terms, label, dim)
+        assert [f.terms for f in sized] == [f.terms for f in full], label
+        case = label.split(" v=")[0]
+        case += f" {conn.kind}" if case == "Thm1.5(3) flat" else ""
+        seen[case][0] += 1
+        seen[case][1] += last < len(terms)
+        return sized
+
+    monkeypatch.setattr(qesolver, "_operator_columns", recording_columns)
+    monkeypatch.setattr(qesolver, "_solve_span", checked)
+    rng = random.Random(13)
+    flat_mus = itertools.cycle((0, -1, Fraction(1, 2), Fraction(2, 3)))
+    for i in range(4000):
+        if all(n >= 3 and early for n, early in seen.values()):
+            break
+        conn = AffineConnection2("AB"[i % 2], tuple(
+            Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+            if rng.random() < 0.5 else 0 for _ in range(6)))
+        ric = ricci(conn)
+        if ric.is_flat:
+            eigenspace(conn, next(flat_mus))
+        elif conn.kind == "B" and not all(
+                v.is_zero() for row in ric.r_s for v in row):
+            if type_flags(conn).is_also_type_a:
+                eigenspace(conn, -1)
+                eigenspace(conn, Fraction(1, 2))
+            elif is_strongly_projectively_flat(conn):
+                eigenspace(conn, -1)
+    # leave no drawn connection in the surface caches for later tests
+    for fn in (surface.ricci, surface.normalize_type_b,
+               surface._gamma_function):
+        fn.cache_clear()
+    assert all(n >= 3 and early for n, early in seen.values()), seen
+
+
+def test_eigenspace_certifies_once_in_returned_coordinates(monkeypatch):
+    desc = eigenspace(A2, 1)
+    assert desc.case_label == "Thm1.10(3) rank1"
+    assert not desc.change.is_identity
+    checked = []
+    is_solution = qesolver.is_solution
+
+    def counting(conn, mu, f):
+        checked.append((conn, f))
+        return is_solution(conn, mu, f)
+
+    monkeypatch.setattr(qesolver, "is_solution", counting)
+    desc = eigenspace(A2, 1, input_coords=True)
+    assert len(checked) == desc.dim == 2
+    assert checked == [(A2, f) for f in desc.basis]
+
+    # a mapping that corrupts the basis is refused in the input coordinates
+    monkeypatch.setattr(qesolver.CoordinateChange, "to_input",
+                        lambda self, f: f + constant(1, Context.TYPE_A))
+    with pytest.raises(SolverError, match=r"Thm1\.10\(3\) rank1 \[input "
+                                          r"coords\]: constructed basis"):
+        eigenspace(A2, 1, input_coords=True)
 
 
 @pytest.mark.parametrize("conn, mu, dim", [
