@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .funcalg import (
-    _ZEROS, AnsatzFunction, Context, Point, Term, constant, hessian, product,
-    ricci_trace, riemann, sum_products, to_bundle,
+    _ZEROS, AnsatzFunction, Context, Point, Term, constant, contracted_ricci,
+    hessian, product, riemann, sum_products, to_bundle,
 )
 from .qesolver import is_solution, potential_residual_at
 from .report import VerificationReport
@@ -145,21 +145,32 @@ class CurvaturePack4:
     Each tensor is built on first use and then kept, so a caller pays only
     for what it reads.  christoffel[c][a][b] is Gamma_ab^c, the layout of the
     shared formulas in `funcalg`; riemann_up[a][b][c][d] stores
-    R(e_a, e_b) e_c in the e_d slot; ricci[b][c] traces the first slot;
-    riemann[a][b][c][d] is g(R(e_a,e_b) e_d, e_c), the ordering in which the
-    Weyl decomposition has its classical form.
+    R(e_a, e_b) e_c in the e_d slot; ricci[b][c] is its trace over the first
+    slot, contracted from the Christoffel symbols (`funcalg.contracted_ricci`)
+    without building riemann_up; riemann[a][b][c][d] is
+    g(R(e_a,e_b) e_d, e_c), the ordering in which the Weyl decomposition has
+    its classical form.  riemann and weyl are antisymmetric in (a, b) and in
+    (c, d): the blocks a < b, c < d are computed, the rest filled by sign,
+    and the c = d entries are the shared zero.  `hessian` keeps the Hessian
+    of the last function asked for, so checks of one function share it.
     """
 
     def __init__(self, g, g_inv):
         self.g = g
         self.g_inv = g_inv
+        self._hessian = None  # (w, Hess w) of the last hessian(w)
 
     # -- tensors ------------------------------------------------------------
     @cached_property
     def christoffel(self):
         g, ginv = self.g, self.g_inv
-        dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
-              for a in range(4)]
+        # dg[a][b][c] = d_c g_ab, once for each entry of the symmetric g
+        dg = [[None] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(a, 4):
+                dg[a][b] = dg[b][a] = ([g[a][b].derive(c + 1)
+                                        for c in range(4)]
+                                       if g[a][b].terms else [_Z4] * 4)
         # by c, the nonzero g^{cd} as (d, g^{cd})
         rows = [[(d, v) for d, v in enumerate(ginv[c]) if v.terms]
                 for c in range(4)]
@@ -184,7 +195,7 @@ class CurvaturePack4:
 
     @cached_property
     def ricci(self):
-        return ricci_trace(self.riemann_up)
+        return contracted_ricci(self.christoffel)
 
     @cached_property
     def scalar(self):
@@ -201,14 +212,11 @@ class CurvaturePack4:
         out = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
                for _ in range(4)]
         for a, b in itertools.combinations(range(4), 2):
-            for d in range(4):
+            for c, d in itertools.combinations(range(4), 2):
                 r = R[a][b][d]
-                if not any(v.terms for v in r):
-                    continue
-                for c in range(4):
-                    out[a][b][c][d] = v = sum_products(
-                        ((r[e], gec) for e, gec in cols[c]), Context.FOURD)
-                    out[b][a][c][d] = -v
+                v = sum_products(((r[e], gec) for e, gec in cols[c]),
+                                 Context.FOURD)
+                _fill_antisymmetric(out, a, b, c, d, v)
         return out
 
     @cached_property
@@ -223,14 +231,21 @@ class CurvaturePack4:
         W = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
              for _ in range(4)]
         for a, b in itertools.combinations(range(4), 2):
-            for c in range(4):
-                for d in range(4):
-                    W[a][b][c][d] = w = Rm[a][b][c][d] + sum_products(
-                        ((g[a][c], minus_P[b][d]), (g[a][d], P[b][c]),
-                         (g[b][d], minus_P[a][c]), (g[b][c], P[a][d])),
-                        Context.FOURD)
-                    W[b][a][c][d] = -w
+            for c, d in itertools.combinations(range(4), 2):
+                w = Rm[a][b][c][d] + sum_products(
+                    ((g[a][c], minus_P[b][d]), (g[a][d], P[b][c]),
+                     (g[b][d], minus_P[a][c]), (g[b][c], P[a][d])),
+                    Context.FOURD)
+                _fill_antisymmetric(W, a, b, c, d, w)
         return W
+
+    def hessian(self, w: AnsatzFunction):
+        """Hessian of w for this metric, `funcalg.hessian` on its
+        Christoffel symbols, kept for the last w."""
+        last = self._hessian
+        if last is None or last[0] != w:
+            last = self._hessian = (w, hessian(self.christoffel, w))
+        return last[1]
 
     # -- derived checks -------------------------------------------------------
     def ricci_is_symmetric(self) -> bool:
@@ -304,6 +319,15 @@ class CurvaturePack4:
     def weyl_half_norms(self, point) -> tuple:
         plus, minus = self.weyl_halves()
         return (_frobenius(plus, point), _frobenius(minus, point))
+
+
+def _fill_antisymmetric(T, a, b, c, d, v) -> None:
+    """Set T[a][b][c][d] = v and its three images under the antisymmetry in
+    (a, b) and in (c, d); a zero v leaves the shared zero in place."""
+    if v.terms:
+        minus_v = -v
+        T[a][b][c][d] = T[b][a][d][c] = v
+        T[a][b][d][c] = T[b][a][c][d] = minus_v
 
 
 def _matmul6(a, b):
@@ -395,7 +419,7 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
 
     # (i) quasi-Einstein
     half_mu = Scalar(Fraction(mu, 2))
-    hw = hessian(pack.christoffel, w)
+    hw = pack.hessian(w)
     sym_ok = all(
         (hw[a][b] - product(w, pack.ricci[a][b]).scale(half_mu)).is_zero()
         for a in range(4) for b in range(4))
@@ -458,7 +482,7 @@ def _conformal_trace_free_ricci(metric: ExtensionMetric, f: AnsatzFunction):
     pack = curvature4(metric)
     inverse = AnsatzFunction([Term(t.coeff.inverse(), -t.exp1, -t.exp2,
                                    -t.pow1)], Context.FOURD)
-    hw = hessian(pack.christoffel, to_bundle(f))
+    hw = pack.hessian(to_bundle(f))
     x = [[pack.ricci[a][b] + product(inverse, hw[a][b]).scale(2)
           for b in range(4)] for a in range(4)]
     trace = sum_products(((metric.g_inv[a][b], x[a][b])

@@ -13,8 +13,10 @@ is what makes exact residual computations possible downstream.
 
 The tensor formulas that the surface and the cotangent bundle share live here
 once: `sum_products`, the Hessian `hessian`, the curvature `riemann` and its
-trace `ricci_trace`.  They take the Christoffel symbols of an n-dimensional
-connection (n = 2 on a surface, 4 on T*M) as a nested array
+trace `ricci_trace`, and `contracted_ricci`, the same Ricci tensor without
+the full curvature (T*M reads it; the surface keeps the trace, which is the
+faster of the two at n = 2).  They take the Christoffel symbols of an
+n-dimensional connection (n = 2 on a surface, 4 on T*M) as a nested array
 gamma[k][i][j] = Gamma_ij^k, with 0-based indices.  All values
 are immutable and all operations pure, so they are safe to share across
 threads without synchronization.
@@ -571,6 +573,68 @@ def ricci_trace(R):
     context = R[0][0][0][0].context
     return [[_function([t for a in range(n) for t in R[a][b][c][a].terms],
                        context) for c in range(n)] for b in range(n)]
+
+
+def contracted_ricci(gamma):
+    """The Ricci tensor `ricci_trace(riemann(gamma))` without the full
+    curvature: with T_c = Gamma_ac^a, summed over a and e,
+
+        rho_bc = d_a Gamma_bc^a - d_b T_c + Gamma_bc^e T_e
+                 - Gamma_ac^e Gamma_be^a.
+
+    The trace T is computed, not assumed to vanish, and the derivative of
+    T is taken along b: -d_c T_b would agree only for a Levi-Civita
+    connection."""
+    n = len(gamma)
+    context = gamma[0][0][0].context
+    # by (i, j), the k with a nonzero symbol Gamma_ij^k
+    nonzero = [[[k for k in range(n) if gamma[k][i][j].terms]
+                for j in range(n)] for i in range(n)]
+    trace = [_function([t for a in range(n) for t in gamma[a][a][c].terms],
+                       context) for c in range(n)]
+    minus_trace = [-t for t in trace]
+    # -Gamma_ac^e for every nonzero Gamma_ac^e, by (a, c): (e, -Gamma_ac^e)
+    minus = [[[(e, -gamma[e][a][c]) for e in nonzero[a][c]]
+              for c in range(n)] for a in range(n)]
+    rho = [[None] * n for _ in range(n)]
+    for b in range(n):
+        for c in range(n):
+            terms: list[Term] = []
+            bc = nonzero[b][c]
+            for a in bc:
+                _derive_terms(gamma[a][b][c].terms, a + 1, terms)
+            _derive_terms(minus_trace[c].terms, b + 1, terms)
+            pairs = [(gamma[e][b][c], trace[e]) for e in bc]
+            for a in range(n):
+                pairs += [(m, gamma[a][b][e]) for e, m in minus[a][c]
+                          if a in nonzero[b][e]]
+            _sum_product_terms(pairs, terms)
+            rho[b][c] = _function(terms, context)
+    return rho
+
+
+def _eval_plan(nested):
+    """A plan to evaluate each function object of a nested list once per
+    probe.
+
+    Returns (functions, index): the distinct nonzero function objects, and a
+    nested list of the shape of `nested` that holds each entry's position in
+    `functions`, or -1 for a zero entry.  At a probe p, read entry i of
+    `[f.eval(p) for f in functions] + [0j]`."""
+    functions, position = [], {}
+
+    def index(x):
+        if not isinstance(x, AnsatzFunction):
+            return [index(y) for y in x]
+        if not x.terms:
+            return -1
+        i = position.get(id(x))
+        if i is None:
+            i = position[id(x)] = len(functions)
+            functions.append(x)
+        return i
+
+    return functions, index(nested)
 
 
 def shift_pow1(f: AnsatzFunction, delta) -> AnsatzFunction:

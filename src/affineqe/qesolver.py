@@ -27,7 +27,7 @@ from typing import Sequence
 from . import _linalg
 from .funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
-    constant, hessian, monomial, product, rank_basis, shift_pow1,
+    _eval_plan, constant, hessian, monomial, product, rank_basis, shift_pow1,
     substitute_linear,
 )
 from .scalars import ZERO, Scalar, ScalarError, roots_of_monic
@@ -801,6 +801,13 @@ def potential_residual_at(f: AnsatzFunction, hess, rho, mu: Fraction, points,
     """
     n = len(hess)
     d = [f.derive(a + 1) for a in range(n)]
+    functions, (hess_at, rho_at, d_at) = _eval_plan([hess, rho, d])
+    # The entries with a nonzero function in them.  Any other entry reads
+    # |0| at every probe (or nan, from a 0 * inf), which max(worst, .)
+    # passes over.
+    entries = [(a, b, hess_at[a][b], rho_at[a][b])
+               for a in range(n) for b in range(n)
+               if max(hess_at[a][b], rho_at[a][b], min(d_at[a], d_at[b])) >= 0]
     # the complex values Fraction's mixed arithmetic would convert them to
     scale, half_mu = complex(-2 / mu), complex(Fraction(mu, 2))
     worst = 0.0
@@ -809,14 +816,13 @@ def potential_residual_at(f: AnsatzFunction, hess, rho, mu: Fraction, points,
         if abs(fv.imag) > 1e-12 or fv.real <= 0:
             raise DomainError(f"{name} must be positive at probe {p}")
         fv = fv.real
-        grad = [d[a].eval(p) for a in range(n)]
+        values = [g.eval(p) for g in functions] + [0j]
+        grad = [values[i] for i in d_at]
         fgrad = [scale * grad[a] / fv for a in range(n)]
-        for a in range(n):
-            for b in range(n):
-                hf = scale * (hess[a][b].eval(p) / fv
-                              - grad[a] * grad[b] / fv ** 2)
-                val = hf + rho[a][b].eval(p) - half_mu * fgrad[a] * fgrad[b]
-                worst = max(worst, abs(val))
+        for a, b, h, r in entries:
+            hf = scale * (values[h] / fv - grad[a] * grad[b] / fv ** 2)
+            val = hf + values[r] - half_mu * fgrad[a] * fgrad[b]
+            worst = max(worst, abs(val))
     return worst
 
 

@@ -188,17 +188,18 @@ def transform(conn: AffineConnection2, S) -> AffineConnection2:
     if conn.kind == "B":
         if not (S[0][0] == Scalar(1) and S[0][1].is_zero()):
             raise ConnectionError_("Type B changes must fix x1")
+    # the nonzero Gamma_pq^m as (p, q, m, Gamma_pq^m); a zero one adds the
+    # zero Scalar, which leaves the sum as it is
+    nonzero = [(p, q, m, conn.coefficient(p, q, m))
+               for p in (1, 2) for q in (1, 2) for m in (1, 2)
+               if not conn.coefficient(p, q, m).is_zero()]
     new = {}
     for (i, j) in ((1, 1), (1, 2), (2, 2)):
         for k in (1, 2):
             acc = Scalar(0)
-            for p in (1, 2):
-                for q in (1, 2):
-                    for m in (1, 2):
-                        acc = acc + (S[k - 1][m - 1]
-                                     * conn.coefficient(p, q, m)
-                                     * Sinv[p - 1][i - 1]
-                                     * Sinv[q - 1][j - 1])
+            for p, q, m, c in nonzero:
+                acc = acc + (S[k - 1][m - 1] * c * Sinv[p - 1][i - 1]
+                             * Sinv[q - 1][j - 1])
             new[f"{i}{j}{k}"] = acc
     return AffineConnection2(conn.kind, tuple(
         new[key] for key in _COEFF_ORDER))

@@ -21,7 +21,7 @@ from .extension import (
     ExtensionMetric, curvature4, default_probe_points, gradient_norm_sq,
 )
 from .funcalg import (
-    AnsatzFunction, Context, DomainError, hessian, product, sum_products,
+    AnsatzFunction, Context, DomainError, _eval_plan, product, sum_products,
     to_bundle,
 )
 from .qesolver import is_solution
@@ -71,7 +71,7 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
         return report
     pack = curvature4(spec.metric)
     warp_fn = spec.phi if phi is None else phi
-    hphi = hessian(pack.christoffel, warp_fn)
+    hphi = pack.hessian(warp_fn)
     # base condition, cleared of the 1/phi: r*Hess(phi) - phi*rho + lam*phi*g
     lam = Scalar(spec.lam)
     sym_ok = True
@@ -92,19 +92,30 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
     lap = sum_products(((pack.g_inv[a][b], hphi[a][b])
                         for a in range(4) for b in range(4)), Context.FOURD)
     grad_sq = gradient_norm_sq(spec.metric, warp_fn)
+    float_lam = float(spec.lam)
+    # lam*g is left out at lam = 0.0: |x - 0.0*z| = |x| for every finite z
+    functions, (rho_at, hphi_at, g_at) = _eval_plan(
+        [pack.ricci, hphi, spec.metric.g if float_lam else []])
+    # The entries with a nonzero function in them.  Any other entry reads
+    # |0| at every probe (or nan, from a 0 * inf), which max(worst, .)
+    # passes over.
+    entries = [e for e in ((rho_at[a][b], hphi_at[a][b],
+                            g_at[a][b] if float_lam else -1)
+                           for a in range(4) for b in range(4))
+               if max(e) >= 0]
     for p in points:
         pv = warp_fn.eval(p)
         if abs(pv.imag) > 1e-12 or pv.real <= 0:
             raise DomainError(f"warp function must be positive at probe {p}")
         pv = pv.real
-        for a in range(4):
-            for b in range(4):
-                val = (pack.ricci[a][b].eval(p)
-                       - spec.r / pv * hphi[a][b].eval(p)
-                       - float(spec.lam) * spec.metric.g[a][b].eval(p))
-                worst = max(worst, abs(val))
+        values = [f.eval(p) for f in functions] + [0j]
+        for rho_i, hphi_i, g_i in entries:
+            val = values[rho_i] - spec.r / pv * values[hphi_i]
+            if float_lam:
+                val = val - float_lam * values[g_i]
+            worst = max(worst, abs(val))
         mu_e = (pv * lap.eval(p) + (spec.r - 1) * grad_sq.eval(p)
-                + float(spec.lam) * pv ** 2)
+                + float_lam * pv ** 2)
         mu_e_values.append(mu_e)
     report.add("base_condition_numeric", worst, 1e-10)
     mean = sum(mu_e_values) / len(mu_e_values)

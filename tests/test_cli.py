@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from affineqe import cli, funcalg, surface
+from affineqe import cli, extension, funcalg, surface
 from affineqe.cli import main
 from affineqe.funcalg import AnsatzFunction, Context
 from affineqe.surface import (
@@ -121,6 +121,48 @@ def test_warp_a2(capsys, tmp_path):
     assert payload["mu_E"] == 0.0
     assert payload["base_residual_max"] <= 1e-10
     assert payload["constancy_std"] <= 1e-6
+
+
+def test_warp_and_verify_build_the_full_curvature_for_weyl_only(
+        capsys, tmp_path, monkeypatch):
+    """`warp` reads the Ricci tensor, contracted from the Christoffel
+    symbols; only `verify`, whose Weyl check needs it, builds the 4-d
+    `funcalg.riemann`, once."""
+    calls = []
+    original = extension.riemann
+
+    def spy(gamma):
+        calls.append(len(gamma))
+        return original(gamma)
+
+    monkeypatch.setattr(extension, "riemann", spy)
+    p = tmp_path / "a2.json"
+    save_connection(A2, p)
+    assert run_cli(capsys, "warp", "--input", str(p), "--mu", "1")[0] == 0
+    assert calls.count(4) == 0
+    assert run_cli(capsys, "verify", "--input", str(p), "--mu", "1")[0] == 0
+    assert calls.count(4) == 1
+
+
+def test_verify_mu_minus_one_takes_one_hessian(capsys, tmp_path,
+                                               monkeypatch):
+    """`verify --mu -1` differentiates w = pi*f on the metric's pack once:
+    the quasi-Einstein check and the conformal-change law share it."""
+    calls = []
+    original = extension.hessian
+
+    def spy(gamma, f):
+        calls.append(len(gamma))
+        return original(gamma, f)
+
+    monkeypatch.setattr(extension, "hessian", spy)
+    p = tmp_path / "a2.json"
+    save_connection(A2, p)
+    code, out, _ = run_cli(capsys, "verify", "--input", str(p), "--mu", "-1")
+    assert code == 0
+    names = {c["name"] for c in json.loads(out)["checks"]}
+    assert "conformally_einstein" in names
+    assert calls.count(4) == 1
 
 
 def test_warp_rejects_bad_mu(capsys, tmp_path):

@@ -11,8 +11,8 @@ from affineqe.extension import (
     _frobenius,
 )
 from affineqe.funcalg import (
-    AnsatzFunction, Context, Point, Term, constant, exp_linear, monomial,
-    product, to_bundle,
+    _ZEROS, AnsatzFunction, Context, Point, Term, constant, contracted_ricci,
+    exp_linear, monomial, product, ricci_trace, riemann, to_bundle,
 )
 from affineqe.scalars import Scalar, roots_of_monic
 from affineqe.surface import AffineConnection2, ricci
@@ -360,6 +360,10 @@ def assert_pack_matches_dense(pack):
     assert pack.riemann == Rm
     W = dense_weyl(g, ginv, Rm, rho)
     assert pack.weyl == W
+    # both are filled by antisymmetry from a < b, c < d: c = d is the zero
+    for T in (pack.riemann, pack.weyl):
+        assert all(T[a][b][c][c] is _ZEROS[FOURD] for a in range(4)
+                   for b in range(4) for c in range(4))
     star = dense_star(ginv)
     assert pack.star_operator() == star
     wop = dense_weyl_operator(W, ginv)
@@ -394,9 +398,42 @@ def test_curvature_matches_dense_reference():
         kind = "A" if len(conns) % 2 else "B"
         conns.append(AffineConnection2(
             kind, tuple(rng.choice(REF_VALUES) for _ in range(6))))
+    weyl = 0
     for i, conn in enumerate(conns):
         phi = _reference_phi(rng, conn.context) if i % 3 == 2 else None
-        assert_pack_matches_dense(curvature4(build_extension(conn, phi)))
+        pack = curvature4(build_extension(conn, phi))
+        assert_pack_matches_dense(pack)
+        weyl += any(v.terms for x in pack.weyl for y in x for z in y
+                    for v in z)
+    assert weyl >= 5
+
+
+def test_contracted_ricci_matches_trace_on_extensions():
+    """n = 4: the contraction equals the trace of `riemann` term for term on
+    extension metrics with Phi = 0 and Phi != 0 (det g = 1, T = 0) and on
+    their conformal rescalings x1^2 e^{x2} g, whose T is not zero."""
+    rng = random.Random(20261021)
+    factor = monomial(FOURD, exp=(0, 1), pow1=2)
+    factor_inv = monomial(FOURD, exp=(0, -1), pow1=-2)
+    with_trace = 0
+    for i in range(24):
+        conn = AffineConnection2("AB"[i % 2], tuple(rng.choice(REF_VALUES)
+                                                    for _ in range(6)))
+        phi = _reference_phi(rng, conn.context) if i % 3 else None
+        metric = build_extension(conn, phi)
+        packs = [curvature4(metric)]
+        if i % 4 == 0:
+            packs.append(CurvaturePack4(
+                [[product(factor, v) for v in row] for row in metric.g],
+                [[product(factor_inv, v) for v in row]
+                 for row in metric.g_inv]))
+        for pack in packs:
+            gamma = pack.christoffel
+            assert contracted_ricci(gamma) == ricci_trace(riemann(gamma))
+            trace = [sum((gamma[a][a][c] for a in range(4)), ZERO4)
+                     for c in range(4)]
+            with_trace += any(t.terms for t in trace)
+    assert with_trace == 6  # the six rescaled metrics
 
 
 @pytest.mark.parametrize("coeffs,index", [

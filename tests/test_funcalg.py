@@ -7,10 +7,12 @@ import pytest
 
 from affineqe.funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
-    constant, exp_linear, monomial, product, rank_basis, substitute_linear,
-    sum_products, to_bundle, x1_power,
+    constant, contracted_ricci, exp_linear, monomial, product, rank_basis,
+    ricci_trace, riemann, substitute_linear, sum_products, to_bundle,
+    x1_power,
 )
 from affineqe.scalars import Scalar
+from affineqe.surface import AffineConnection2, christoffel
 
 
 def test_exponential_derivative():
@@ -472,3 +474,24 @@ def test_malformed_field_scalars_refused(minpoly, root):
     with pytest.raises(ValueError):
         scalar_from_json({"c": [["0", "0"], ["1", "0"]], "min": minpoly,
                           "root": root})
+
+
+def test_contracted_ricci_matches_trace_on_surfaces():
+    """The contraction equals the trace of the full curvature term for term
+    on seeded Type A and Type B connections with coefficients in Q(sqrt 2)
+    and Q(i, sqrt 3).  Some of the Type B Ricci tensors have a skew part,
+    which is -d_b T_c + d_c T_b, so the order of the indices on d T counts
+    here (at n = 4 the Levi-Civita T is closed and both orders agree)."""
+    rng = random.Random(20261019)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    fields = (Scalar.sqrt_rational(2), Scalar.sqrt_rational(-3))
+    skew = 0
+    for i in range(48):
+        theta = fields[i // 2 % 2]
+        coeffs = tuple(Scalar(rng.choice(values))
+                       + theta * rng.choice(values) for _ in range(6))
+        gamma = christoffel(AffineConnection2("AB"[i % 2], coeffs))
+        rho = contracted_ricci(gamma)
+        assert rho == ricci_trace(riemann(gamma)), coeffs
+        skew += rho[0][1] != rho[1][0]
+    assert skew >= 5

@@ -7,11 +7,13 @@ import pytest
 
 from affineqe import _linalg, qesolver, surface
 from affineqe.funcalg import (
-    AnsatzFunction, Context, Term, constant, exp_linear, monomial, rank_basis,
+    AnsatzFunction, Context, Point, Term, constant, exp_linear, monomial,
+    rank_basis,
 )
 from affineqe.qesolver import (
     SolverError, eigenspace, jet_dimension_oracle, killing_stability_check,
-    nonlinear_transform, qe_residual, realize_real_basis,
+    nonlinear_transform, potential_residual_at, qe_residual,
+    realize_real_basis,
 )
 from affineqe.scalars import Scalar
 from affineqe.surface import (
@@ -741,3 +743,61 @@ def test_conic_pairs_rejects_roots_off_the_third_conic():
     shifted = (r[0], (r[1][0], r[1][1] + 1))
     with pytest.raises(SolverError, match="no common exponent"):
         qesolver._conic_pairs(conn, shifted)
+
+
+def reference_potential_residual(f, hess, rho, mu, points):
+    """`potential_residual_at` as a plain loop: every entry of every
+    matrix evaluated at every probe."""
+    n = len(hess)
+    d = [f.derive(a + 1) for a in range(n)]
+    scale, half_mu = complex(-2 / mu), complex(Fraction(mu, 2))
+    worst = 0.0
+    for p in points:
+        fv = f.eval(p).real
+        grad = [d[a].eval(p) for a in range(n)]
+        fgrad = [scale * grad[a] / fv for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                hf = scale * (hess[a][b].eval(p) / fv
+                              - grad[a] * grad[b] / fv ** 2)
+                val = hf + rho[a][b].eval(p) - half_mu * fgrad[a] * fgrad[b]
+                worst = max(worst, abs(val))
+    return worst
+
+
+def test_potential_residual_keeps_every_bit_of_the_full_loop():
+    """Each function object is evaluated once per probe and the entries
+    with no nonzero function are skipped; the residual is the same float
+    as the plain loop's, on T*M (n = 4) and on a surface (n = 2), with
+    zero, shared and skew entries."""
+    rng = random.Random(20261019)
+    for n, ctx in ((4, Context.FOURD), (2, Context.TYPE_A)):
+        points = ([Point((rng.uniform(1, 2), rng.uniform(-1, 1),
+                          rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                   for _ in range(6)] if n == 4 else
+                  [Point((rng.uniform(1, 2), rng.uniform(-1, 1)))
+                   for _ in range(6)])
+        for trial in range(12):
+            # f > 0 on the probes; with trial % 3 == 0 it depends on x1 alone
+            f = (monomial(ctx, coeff=2, exp=(Fraction(1, 3), 0))
+                 + monomial(ctx, coeff=Fraction(1, 2), pow1=2,
+                            x2=0 if trial % 3 == 0 else 2))
+
+            # with trial % 4 == 1 only the df x df terms are left, whose
+            # rounding is all the residual reads
+            def entry():
+                if trial % 4 == 1 or rng.random() < 0.5:
+                    return AnsatzFunction([], ctx)
+                return monomial(ctx, coeff=rng.choice((1, -2, Fraction(1, 3))),
+                                exp=(0, rng.choice((0, 1))),
+                                pow1=rng.randint(0, 2))
+
+            hess = [[None] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a, n):
+                    hess[a][b] = hess[b][a] = entry()
+            rho = [[entry() for _ in range(n)] for _ in range(n)]
+            mu = rng.choice((Fraction(-1), Fraction(1, 2), Fraction(2, 3)))
+            got = potential_residual_at(f, hess, rho, mu, points)
+            assert got == reference_potential_residual(f, hess, rho, mu,
+                                                       points)

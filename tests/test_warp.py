@@ -7,7 +7,9 @@ from affineqe.extension import (
     DeformationTensor, build_extension, default_probe_points,
     verify_theorem_1_1,
 )
-from affineqe.funcalg import Context, constant, monomial, product, to_bundle
+from affineqe.funcalg import (
+    Context, constant, hessian, monomial, product, to_bundle,
+)
 from affineqe.qesolver import eigenspace, realize_real_basis
 from affineqe.surface import AffineConnection2
 from affineqe.warp import WarpSpec, WarpError, warped_einstein_report
@@ -55,6 +57,7 @@ def test_curvature_tensors_built_on_first_use(monkeypatch):
     assert report.passed
     built = vars(packs[0])
     assert "christoffel" in built and "ricci" in built
+    assert "riemann_up" not in built
     assert "riemann" not in built and "weyl" not in built
 
     monkeypatch.setattr(extension, "curvature4", spy)
@@ -63,6 +66,40 @@ def test_curvature_tensors_built_on_first_use(monkeypatch):
     assert report.passed
     assert len(packs) == 2
     assert "riemann" in vars(packs[1]) and "weyl" in vars(packs[1])
+
+
+def reference_base_residual(spec, points):
+    """The numeric base condition as a plain loop over all 16 entries, with
+    lam*g evaluated at lam = 0 too."""
+    pack = extension.curvature4(spec.metric)
+    hphi = hessian(pack.christoffel, spec.phi)
+    worst = 0.0
+    for p in points:
+        pv = spec.phi.eval(p).real
+        for a in range(4):
+            for b in range(4):
+                val = (pack.ricci[a][b].eval(p)
+                       - spec.r / pv * hphi[a][b].eval(p)
+                       - float(spec.lam) * spec.metric.g[a][b].eval(p))
+                worst = max(worst, abs(val))
+    return worst
+
+
+@pytest.mark.parametrize("lam", [0, Fraction(1, 3)])
+def test_base_residual_keeps_every_bit_of_the_full_loop(lam):
+    conn = AffineConnection2.type_b(c111=1, c122=2, c221=1)
+    phi = DeformationTensor(monomial(Context.TYPE_B, pow1=1, x2=1),
+                            monomial(Context.TYPE_B, coeff=-1, x2=2),
+                            monomial(Context.TYPE_B, pow1=-1))
+    f = monomial(Context.TYPE_B, pow1=2)
+    for metric, f in ((build_extension(conn), f),
+                      (build_extension(conn, phi), f),
+                      (build_extension(A2), a2_mu1_solution())):
+        spec = WarpSpec(metric, f, Fraction(1), 2, lam)
+        report = warped_einstein_report(spec, POINTS)
+        (check,) = [c for c in report.checks
+                    if c.name == "base_condition_numeric"]
+        assert check.max_residual == reference_base_residual(spec, POINTS)
 
 
 def test_warp_flat_base():
