@@ -29,15 +29,29 @@ from .warp import WarpSpec, warped_einstein_report
 
 __version__ = "0.1.0"
 
+
+def cache_stats() -> dict:
+    """The size of every cache in the package, by name: the `cache_info()`
+    of each `lru_cache`, and the number of minimal polynomials whose float
+    roots `scalars` keeps."""
+    from . import cli, scalars, surface
+    return {
+        "cli.build_parser": cli.build_parser.cache_info(),
+        "surface.ricci": surface.ricci.cache_info(),
+        "surface.normalize_type_b": surface.normalize_type_b.cache_info(),
+        "surface._gamma_function": surface._gamma_function.cache_info(),
+        "scalars._CTX_ROOTS": len(scalars._CTX_ROOTS),
+    }
+
 __all__ = [
     "AffineConnection2", "AnsatzFunction", "CheckResult", "Context",
     "CoordinateChange", "CurvaturePack4", "DeformationTensor", "DomainError",
     "EigenspaceDescription", "ExtensionMetric", "FunctionAlgebraError",
     "NormalizationRecord", "Point", "RicciData", "Scalar",
     "Term", "TypeFlags", "VerificationReport", "WarpSpec",
-    "build_extension", "conformal_einstein_residual", "connection_from_json",
-    "connection_to_json", "constant", "curvature4", "default_probe_points",
-    "derive", "eigenspace", "evaluate", "exp_linear",
+    "build_extension", "cache_stats", "conformal_einstein_residual",
+    "connection_from_json", "connection_to_json", "constant", "curvature4",
+    "default_probe_points", "derive", "eigenspace", "evaluate", "exp_linear",
     "is_strongly_projectively_flat",
     "jet_dimension_oracle", "killing_stability_check", "load_connection",
     "monomial", "nonlinear_transform", "normalize_type_b", "product",

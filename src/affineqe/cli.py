@@ -334,7 +334,7 @@ def _cmd_sweep(args) -> int:
     return 0 if all_agree else 1
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(

@@ -521,8 +521,11 @@ def sum_products(pairs, context: Context) -> AnsatzFunction:
 
 # -- tensor formulas shared by the surface and the cotangent bundle ---------
 
-def hessian(gamma, f: AnsatzFunction):
-    """Hessian d_a d_b f - Gamma_ab^c d_c f as a symmetric n x n matrix."""
+def hessian(gamma, f: AnsatzFunction, zeroth=None):
+    """Hessian d_a d_b f - Gamma_ab^c d_c f as a symmetric n x n matrix.
+
+    With a symmetric n x n matrix `zeroth` of functions m_ab, each entry is
+    d_a d_b f - Gamma_ab^c d_c f + f m_ab, merged in the same pass."""
     n = len(gamma)
     d = [f.derive(a + 1) for a in range(n)]
     minus_d = [(c, -g) for c, g in enumerate(d) if g.terms]
@@ -533,6 +536,8 @@ def hessian(gamma, f: AnsatzFunction):
             _derive_terms(d[a].terms, b + 1, terms)
             _sum_product_terms(((gamma[c][a][b], g) for c, g in minus_d),
                                terms)
+            if zeroth is not None:
+                _sum_product_terms(((f, zeroth[a][b]),), terms)
             out[a][b] = out[b][a] = _function(terms, f.context)
     return out
 

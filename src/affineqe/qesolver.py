@@ -57,17 +57,16 @@ _COMPONENTS = ((0, 0), (0, 1), (1, 1))
 
 
 def qe_residual(conn: AffineConnection2, mu, f: AnsatzFunction):
-    """Exact 2x2 symmetric matrix (d_i d_j - Gamma_ij^k d_k)f - mu f rho_s."""
+    """Exact 2x2 symmetric matrix (d_i d_j - Gamma_ij^k d_k)f - mu f rho_s,
+    each entry built in one merge of its terms."""
     if f.context is not conn.context:
         raise FunctionAlgebraError(
             f"function context {f.context.value} does not match connection "
             f"kind {conn.kind}")
-    mus = _mu_scalar(mu)
+    minus_mu = -_mu_scalar(mu)
     rho_s = ricci(conn).rho_s
-    out = hessian(christoffel(conn), f)
-    for i, j in _COMPONENTS:
-        out[i][j] = out[j][i] = (out[i][j]
-                                 - product(f, rho_s[i][j]).scale(mus))
+    out = hessian(christoffel(conn), f,
+                  [[g.scale(minus_mu) for g in row] for row in rho_s])
     return (tuple(out[0]), tuple(out[1]))
 
 

@@ -327,7 +327,10 @@ class Scalar:
     # below skip only work whose result is known; mixing two different
     # fields still raises in `_join`.  Most operands are real rationals with
     # no context: those take one `Fraction` operation (`_rational`), and
-    # other context-free operands go straight to the Q(i) arithmetic.
+    # other context-free operands go straight to the Q(i) arithmetic.  A
+    # context-free operand is never lifted into a field: it scales the field
+    # operand's coefficients or shifts its constant one, which cannot zero
+    # the theta-part, so the result keeps that context (`_in_field`).
     def __add__(self, other):
         if type(other) is not Scalar:
             other = Scalar.of(other)
@@ -345,22 +348,33 @@ class Scalar:
             if not (ar or ai):
                 return other
             return Scalar._make((_gq_add(self._c[0], other._c[0]),), None)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
+        if other._ctx is None:
+            return self._shifted(other)
+        if self._ctx is None:
+            return other._shifted(self)
         ctx = Scalar._join(self, other)
-        a, b = self._lift(ctx), other._lift(ctx)
-        return Scalar._make([_gq_add(x, y) for x, y in zip(a, b)], ctx)
+        return Scalar._make([(xr + yr, xi + yi) for (xr, xi), (yr, yi)
+                             in zip(self._c, other._c)], ctx)
 
     __radd__ = __add__
+
+    def _shifted(self, s: "Scalar") -> "Scalar":
+        """self + s for a field element self and a context-free s: only the
+        constant coefficient moves."""
+        (sr, si), = s._c
+        if not (sr or si):
+            return self
+        (cr, ci), *rest = self._c
+        c0 = (cr + sr, ci) if si is _F0 or not si else (cr + sr, ci + si)
+        return _in_field((c0, *rest), self._ctx)
 
     def __neg__(self):
         if self._ctx is None:
             (re, im), = self._c
             if im is _F0 or not im:
                 return _rational(-re)
-        return Scalar._make([_gq_neg(x) for x in self._c], self._ctx)
+            return Scalar._make((_gq_neg(self._c[0]),), None)
+        return _in_field(tuple([_gq_neg(x) for x in self._c]), self._ctx)
 
     def __sub__(self, other):
         if type(other) is not Scalar:
@@ -372,6 +386,10 @@ class Scalar:
                 if not br:
                     return self
                 return _rational(ar - br)
+        elif self._ctx is not None and other._ctx is not None:
+            ctx = Scalar._join(self, other)
+            return Scalar._make([(xr - yr, xi - yi) for (xr, xi), (yr, yi)
+                                 in zip(self._c, other._c)], ctx)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -390,10 +408,12 @@ class Scalar:
             if not (ar or ai) or not (br or bi):
                 return ZERO
             return Scalar._make((_gq_mul(self._c[0], other._c[0]),), None)
-        if self.is_zero() or other.is_zero():
-            return ZERO
+        if other._ctx is None:
+            return self._scaled(other)
+        if self._ctx is None:
+            return other._scaled(self)
         ctx = Scalar._join(self, other)
-        a, b = self._lift(ctx), other._lift(ctx)
+        a, b = self._c, other._c
         d = ctx.degree
         conv = [_ZERO_GQ] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -416,6 +436,21 @@ class Scalar:
         return Scalar._make(conv[:d], ctx)
 
     __rmul__ = __mul__
+
+    def _scaled(self, s: "Scalar") -> "Scalar":
+        """self * s for a field element self and a context-free s: each
+        nonzero coefficient is scaled, by one `Fraction` product per nonzero
+        part when s is real."""
+        (sr, si), = s._c
+        if si is _F0 or not si:
+            if not sr:
+                return ZERO
+            coeffs = tuple([(xr * sr if xr else xr, xi * sr if xi else xi)
+                            for xr, xi in self._c])
+        else:
+            coeffs = tuple([_gq_mul(s._c[0], x) if x[0] or x[1] else x
+                            for x in self._c])
+        return _in_field(coeffs, self._ctx)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -525,6 +560,17 @@ def _rational(q: Fraction) -> Scalar:
     s = _new(Scalar)
     s._c = ((q, _F0),)
     s._ctx = None
+    s._h = None
+    s._sk = None
+    return s
+
+
+def _in_field(coeffs: tuple, ctx: AlgebraicContext) -> Scalar:
+    """The element of Q(i)(theta) with these coefficients, whose theta-part
+    is known to be nonzero, built without `_make`'s checks."""
+    s = _new(Scalar)
+    s._c = coeffs
+    s._ctx = ctx
     s._h = None
     s._sk = None
     return s

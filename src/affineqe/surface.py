@@ -7,7 +7,7 @@ downstream (Ricci tensors, classification predicates, normalizations) is
 computed exactly over the Scalar field.  Connections and derived data are
 immutable; every function here is pure.  `ricci` keeps its results for the
 last 512 connections, `normalize_type_b` for the last 256 and
-`_gamma_function` for the last 64 (connection, index) keys, so memory stays
+`_gamma_function` the Christoffel array of the last 64, so memory stays
 bounded over a sweep.
 """
 from __future__ import annotations
@@ -62,7 +62,8 @@ class AffineConnection2:
         return self.coeffs[idx]
 
     def gamma_function(self, i: int, j: int, k: int) -> AnsatzFunction:
-        return _gamma_function(self, min(i, j), max(i, j), k)
+        """Gamma_ij^k as a function (1-based), read from `christoffel`."""
+        return _gamma_function(self)[k - 1][i - 1][j - 1]
 
     @property
     def context(self) -> Context:
@@ -78,12 +79,20 @@ class AffineConnection2:
 
 
 @lru_cache(maxsize=64)
-def _gamma_function(conn: AffineConnection2, i: int, j: int,
-                    k: int) -> AnsatzFunction:
-    c = conn.coefficient(i, j, k)
-    if conn.kind == "A":
-        return constant(c, Context.TYPE_A)
-    return monomial(Context.TYPE_B, coeff=c, pow1=-1)
+def _gamma_function(conn: AffineConnection2) -> tuple:
+    """The array `christoffel(conn)`, built once per connection: one
+    function per symmetric pair ij, shared by Gamma_ij^k and Gamma_ji^k."""
+    def symbol(i, j, k):
+        c = conn.coefficient(i, j, k)
+        if conn.kind == "A":
+            return constant(c, Context.TYPE_A)
+        return monomial(Context.TYPE_B, coeff=c, pow1=-1)
+
+    planes = []
+    for k in (1, 2):
+        g11, g12, g22 = symbol(1, 1, k), symbol(1, 2, k), symbol(2, 2, k)
+        planes.append(((g11, g12), (g12, g22)))
+    return tuple(planes)
 
 
 @dataclass(frozen=True)
@@ -138,11 +147,11 @@ class RicciData:
         return _linalg.rank(_linalg.sparse(self.r))
 
 
-def christoffel(conn: AffineConnection2):
-    """Christoffel symbols as gamma[k][i][j] = Gamma_ij^k (0-based), the
-    layout of the shared tensor formulas in `funcalg`."""
-    return [[[conn.gamma_function(i, j, k) for j in (1, 2)] for i in (1, 2)]
-            for k in (1, 2)]
+def christoffel(conn: AffineConnection2) -> tuple:
+    """Christoffel symbols as nested tuples gamma[k][i][j] = Gamma_ij^k
+    (0-based), the layout of the shared tensor formulas in `funcalg`; the
+    same object for equal connections while `_gamma_function` holds it."""
+    return _gamma_function(conn)
 
 
 @lru_cache(maxsize=512)

@@ -7,8 +7,8 @@ import pytest
 
 from affineqe import _linalg, qesolver, surface
 from affineqe.funcalg import (
-    AnsatzFunction, Context, Point, Term, constant, exp_linear, monomial,
-    rank_basis,
+    AnsatzFunction, Context, Point, Term, constant, exp_linear, hessian,
+    monomial, product, rank_basis,
 )
 from affineqe.qesolver import (
     SolverError, eigenspace, jet_dimension_oracle, killing_stability_check,
@@ -17,7 +17,8 @@ from affineqe.qesolver import (
 )
 from affineqe.scalars import Scalar
 from affineqe.surface import (
-    AffineConnection2, is_strongly_projectively_flat, ricci, type_flags,
+    AffineConnection2, christoffel, is_strongly_projectively_flat, ricci,
+    type_flags,
 )
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
@@ -479,6 +480,68 @@ def test_theorem15_invariants_sweep():
                     assert eigenspace(conn, mu).dim == 0
         for mu in mus:
             assert eigenspace(conn, mu).dim <= 3
+
+
+def _qe_residual_composition(conn, mu, f):
+    """The residual as a composition: the Hessian, minus mu f rho_s built
+    and scaled as functions of their own, subtracted entry by entry."""
+    mus = Scalar(Fraction(mu))
+    rho_s = ricci(conn).rho_s
+    out = hessian(christoffel(conn), f)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        out[i][j] = out[j][i] = (out[i][j]
+                                 - product(f, rho_s[i][j]).scale(mus))
+    return (tuple(out[0]), tuple(out[1]))
+
+
+def test_qe_residual_matches_composition():
+    rng = random.Random(20261019)
+    r2 = Scalar.sqrt_rational(2)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+
+    def coeff():
+        return rng.choice((Scalar(q()), Scalar(q(), q()), r2 * q() + 1))
+
+    def function(kind):
+        if kind == "A":
+            terms = [Term(coeff(), Scalar(rng.randint(-2, 2)), Scalar(q()),
+                          Scalar(rng.randint(0, 2)), 0, rng.randint(0, 2))
+                     for _ in range(rng.randint(1, 4))]
+            return AnsatzFunction(terms, Context.TYPE_A)
+        terms = [Term(coeff(), pow1=Scalar(q()), logdeg=rng.randint(0, 2),
+                      deg2=rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 4))]
+        return AnsatzFunction(terms, Context.TYPE_B)
+
+    # seeded draws, then a Type B connection normalized over Q(sqrt 2) and
+    # two rank-2 critical ones with cubic-field exponents at mu = -1
+    conns = [AffineConnection2(kind, tuple(q() for _ in range(6)))
+             for _ in range(10) for kind in "AB"]
+    conns += [AffineConnection2.type_b(c111=1, c122=2, c221=2),
+              AffineConnection2.type_a(c111=2, c112=1, c221=1),
+              AffineConnection2.type_a(c112=1, c221=1)]
+    solved = {True: 0, False: 0}
+    fields = set()
+    for conn in conns:
+        for mu in (0, -1, Fraction(1, 2), Fraction(2, 3)):
+            desc = eigenspace(conn, mu)
+            cases = [(conn, function(conn.kind)) for _ in range(3)]
+            cases += [(desc.solver_connection, f) for f in desc.basis]
+            for c, f in cases:
+                got = qe_residual(c, mu, f)
+                want = _qe_residual_composition(c, mu, f)
+                for i in range(2):
+                    for j in range(2):
+                        assert got[i][j] == want[i][j], (c, mu, f)
+                        assert repr(got[i][j]) == repr(want[i][j])
+                solved[zero_matrix(got)] += 1
+                scalars = [x for t in f.terms for x in t[:4]] + [*c.coeffs]
+                fields.update(x.context.degree for x in scalars
+                              if x.context is not None)
+    assert solved[True] >= 40 and solved[False] >= 200, solved
+    assert fields == {2, 3}
 
 
 def _residual_map(conn, mu, t):

@@ -482,3 +482,190 @@ def test_large_rational_roots_are_fast():
     roots = roots_of_monic(_monic_from_roots([Fraction(r), Fraction(-r, 3)]))
     assert time.perf_counter() - t0 < 1.0
     assert roots == [Scalar(r), Scalar(Fraction(-r, 3))]
+
+
+# The lift-and-convolve arithmetic that every operand with a context took
+# before a context-free operand came to scale or shift a field element
+# directly: the reference those paths must match bit for bit.
+_GQ0 = (Fraction(0), Fraction(0))
+
+
+def _lift_reference(x, ctx):
+    if ctx is None or x._ctx == ctx:
+        return x._c
+    if x._ctx is None:
+        return (x._c[0],) + (_GQ0,) * (ctx.degree - 1)
+    raise ScalarError("incompatible algebraic contexts")
+
+
+def _add_reference(a, b):
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    ctx = Scalar._join(a, b)
+    x, y = _lift_reference(a, ctx), _lift_reference(b, ctx)
+    return Scalar._make([_gq_add(p, q) for p, q in zip(x, y)], ctx)
+
+
+def _neg_reference(a):
+    return Scalar._make([_gq_neg(x) for x in a._c], a._ctx)
+
+
+def _sub_reference(a, b):
+    return _add_reference(a, _neg_reference(b))
+
+
+def _mul_reference(a, b):
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    ctx = Scalar._join(a, b)
+    x, y = _lift_reference(a, ctx), _lift_reference(b, ctx)
+    d = ctx.degree
+    conv = [_GQ0] * (2 * d - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            if (p[0] or p[1]) and (q[0] or q[1]):
+                conv[i + j] = _gq_add(conv[i + j], _gq_mul(p, q))
+    m = ctx.minpoly
+    for k in range(2 * d - 2, d - 1, -1):
+        cr, ci = conv[k]
+        if cr or ci:
+            for j in range(d):
+                if m[j]:
+                    xr, xi = conv[k - d + j]
+                    conv[k - d + j] = (xr - cr * m[j], xi - ci * m[j])
+    return Scalar._make(conv[:d], ctx)
+
+
+def _assert_identical(got, want):
+    assert got._c == want._c
+    assert got._ctx == want._ctx
+    assert hash(got) == hash(want)
+    assert got.sort_key() == want.sort_key()
+    assert repr(got) == repr(want)
+    assert scalar_to_json(got) == scalar_to_json(want)
+
+
+def _context_free_operands(seed):
+    """0, +-1, integers, non-integers and Gaussian rationals, as Scalars,
+    and a few Python ints."""
+    rng = random.Random(seed)
+    out = [Scalar(0), Scalar(1), Scalar(-1), Scalar(7), Scalar(-12),
+           Scalar(0, 1), Scalar(0, Fraction(-3, 5)), 0, 1, -1, 5]
+    for _ in range(6):
+        out.append(Scalar(Fraction(rng.randint(-40, 40), rng.randint(2, 9))))
+        out.append(Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                          Fraction(rng.choice([-7, -2, 1, 3]),
+                                   rng.randint(1, 5))))
+    return out
+
+
+def _mixed_field_elements(seed):
+    """Elements of Q(sqrt 2), of Q(i)(sqrt 3), of the cubic x^3 - 3x + 1
+    (three real roots) at each root, and of x^3 - 2 at its complex roots 1
+    and 2, built from their coefficients: some with a zero constant or
+    middle coefficient, some with Gaussian coefficients."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+
+    contexts = [(Scalar.sqrt_rational(2).context, False),
+                (Scalar.sqrt_rational(3).context, True)]
+    contexts += [(Scalar.algebraic([1, -3, 0, 1], k).context, k == 1)
+                 for k in range(3)]
+    contexts += [(Scalar.algebraic([-2, 0, 0, 1], k).context, True)
+                 for k in (1, 2)]
+    out = []
+    for ctx, gaussian in contexts:
+        for n in range(6):
+            coeffs = [(q(), q() if gaussian and rng.random() < 0.6
+                       else Fraction(0)) for _ in range(ctx.degree)]
+            if n == 0:
+                coeffs[0] = _GQ0
+            if n == 1 and ctx.degree == 3:
+                coeffs[1] = _GQ0
+            if all(c == _GQ0 for c in coeffs[1:]):
+                coeffs[-1] = (Fraction(1), Fraction(0))
+            out.append(Scalar._make(coeffs, ctx))
+    assert all(x.context is not None for x in out)
+    return out
+
+
+def test_context_free_operands_are_never_lifted():
+    xs = _mixed_field_elements(15)
+    ops = _context_free_operands(16)
+    assert {x.context.root_index for x in xs if x.context.degree == 3} == {
+        0, 1, 2}
+    for x in xs:
+        _assert_identical(-x, _neg_reference(x))
+        for s in ops:
+            r = Scalar.of(s)
+            _assert_identical(x * s, _mul_reference(x, r))
+            _assert_identical(s * x, _mul_reference(r, x))
+            _assert_identical(x + s, _add_reference(x, r))
+            _assert_identical(s + x, _add_reference(r, x))
+            _assert_identical(x - s, _sub_reference(x, r))
+            _assert_identical(s - x, _sub_reference(r, x))
+            if r.is_zero():
+                assert x + s is x and s + x is x and x - s is x
+
+
+def test_same_field_arithmetic_matches_lift_and_convolve():
+    xs = _mixed_field_elements(17)
+    for x in xs:
+        # y - x has no theta-part: the result drops the context
+        shifted = Scalar._make((_gq_add(x._c[0], (Fraction(5, 2),
+                                                  Fraction(0))),)
+                               + x._c[1:], x.context)
+        for y in [y for y in xs if y.context == x.context] + [x, shifted]:
+            _assert_identical(x - y, _sub_reference(x, y))
+            _assert_identical(x + y, _add_reference(x, y))
+            _assert_identical(x * y, _mul_reference(x, y))
+        assert (shifted - x).context is None
+        _assert_identical(shifted - x, Scalar(Fraction(5, 2)))
+        _assert_identical(x - x, ZERO)
+
+
+def test_mixing_two_fields_still_raises_in_join():
+    xs = _mixed_field_elements(15)
+    for x in xs:
+        for y in xs:
+            if y.context == x.context:
+                continue
+            with pytest.raises(ScalarError, match="different algebraic"):
+                Scalar._join(x, y)
+            for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+                with pytest.raises(ScalarError, match="different algebraic"):
+                    op()
+
+
+def test_rational_times_field_scales_each_nonzero_part(monkeypatch):
+    counts = {"mul": 0, "add": 0}
+    mul, add = Fraction.__mul__, Fraction.__add__
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_add(a, b):
+        counts["add"] += 1
+        return add(a, b)
+
+    # three nonzero real parts and one nonzero imaginary part
+    x = Scalar._make([(Fraction(1, 2), Fraction(0)),
+                      (Fraction(-3), Fraction(2, 7)),
+                      (Fraction(5, 3), Fraction(0))], _CUBIC.context)
+    q = Scalar(Fraction(2, 3))
+    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
+    monkeypatch.setattr(Fraction, "__add__", counted_add)
+    product = x * q
+    after_mul = dict(counts)
+    total = x + q
+    after_add = dict(counts)
+    monkeypatch.undo()
+    assert after_mul == {"mul": 4, "add": 0}
+    assert after_add == {"mul": 4, "add": 1}
+    _assert_identical(product, _mul_reference(x, q))
+    _assert_identical(total, _add_reference(x, q))

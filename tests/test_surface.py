@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from affineqe.funcalg import Context, monomial
 from affineqe.scalars import Scalar
 from affineqe.qesolver import eigenspace
 from affineqe.surface import (
-    AffineConnection2, _gamma_function, connection_from_json,
+    AffineConnection2, _gamma_function, christoffel, connection_from_json,
     connection_to_json,
     is_strongly_projectively_flat, nabla_ricci, normalize_type_b, ricci,
     symmetry_obstructions_type_b, type_flags,
@@ -18,6 +19,8 @@ A2 = AffineConnection2.type_a(c121=2, c222=1)
 HYPERBOLIC = AffineConnection2.type_b(c111=-1, c122=-1, c221=1)
 NONSYM = AffineConnection2.type_b(c121=1, c222=1, c122=1)
 T17_1 = AffineConnection2.type_b(c111=1, c122=2, c221=1)
+T17_2 = AffineConnection2.type_b(
+    c111=Fraction(-21, 2), c112=1, c122=Fraction(-11, 2), c221=1, c222=2)
 
 
 def rmat(conn):
@@ -218,3 +221,40 @@ def test_surface_caches_are_bounded_after_a_warm_run():
         eigenspace(AffineConnection2.type_b(c111=n + 2, c122=1, c221=1),
                    Fraction(1, 2))
     test_surface_caches_are_bounded()
+
+
+def test_christoffel_array_is_built_once_per_connection():
+    _gamma_function.cache_clear()
+    gamma = christoffel(T17_2)
+    assert type(gamma) is tuple
+    assert all(type(plane) is tuple and len(plane) == 2 for plane in gamma)
+    assert all(type(row) is tuple and len(row) == 2
+               for plane in gamma for row in plane)
+    equal = AffineConnection2.type_b(*T17_2.coeffs)
+    assert equal is not T17_2 and christoffel(equal) is gamma
+    for i, j, k in itertools.product((1, 2), repeat=3):
+        g = T17_2.gamma_function(i, j, k)
+        assert g is gamma[k - 1][i - 1][j - 1]
+        assert g is T17_2.gamma_function(j, i, k)
+        assert g == monomial(Context.TYPE_B, pow1=-1,
+                             coeff=T17_2.coefficient(i, j, k))
+    info = _gamma_function.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # the benchmark clears this cache between passes over its pool
+    _gamma_function.cache_clear()
+    assert _gamma_function.cache_info().currsize == 0
+    again = christoffel(T17_2)
+    assert again is not gamma and again == gamma
+
+
+def test_christoffel_cache_stays_bounded_over_a_sweep():
+    _gamma_function.cache_clear()
+    maxsize = _gamma_function.cache_info().maxsize
+    assert maxsize is not None and maxsize < 150
+    for n in range(150):
+        conn = AffineConnection2.type_a(c111=n, c122=1, c221=-1)
+        assert christoffel(conn)[0][0][0] == monomial(Context.TYPE_A,
+                                                      coeff=n)
+        assert _gamma_function.cache_info().currsize <= maxsize
+    assert _gamma_function.cache_info().misses == 150
+    _gamma_function.cache_clear()
