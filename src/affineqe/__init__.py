@@ -4,8 +4,7 @@ bundle."""
 
 from .funcalg import (
     AnsatzFunction, Context, DomainError, FunctionAlgebraError, Point, Term,
-    constant, derive, evaluate, exp_linear, monomial, product, rank_basis,
-    x1_power,
+    constant, exp_linear, monomial, product, rank_basis, x1_power,
 )
 from .scalars import Scalar, roots_of_monic
 from .surface import (
@@ -47,12 +46,11 @@ __all__ = [
     "AffineConnection2", "AnsatzFunction", "CheckResult", "Context",
     "CoordinateChange", "CurvaturePack4", "DeformationTensor", "DomainError",
     "EigenspaceDescription", "ExtensionMetric", "FunctionAlgebraError",
-    "NormalizationRecord", "Point", "RicciData", "Scalar",
-    "Term", "TypeFlags", "VerificationReport", "WarpSpec",
-    "build_extension", "cache_stats", "conformal_einstein_residual",
-    "connection_from_json", "connection_to_json", "constant", "curvature4",
-    "default_probe_points", "derive", "eigenspace", "evaluate", "exp_linear",
-    "is_strongly_projectively_flat",
+    "NormalizationRecord", "Point", "RicciData", "Scalar", "Term", "TypeFlags",
+    "VerificationReport", "WarpSpec", "build_extension", "cache_stats",
+    "conformal_einstein_residual", "connection_from_json",
+    "connection_to_json", "constant", "curvature4", "default_probe_points",
+    "eigenspace", "exp_linear", "is_strongly_projectively_flat",
     "jet_dimension_oracle", "killing_stability_check", "load_connection",
     "monomial", "nonlinear_transform", "normalize_type_b", "product",
     "qe_residual", "rank_basis", "realize_real_basis", "ricci",

@@ -37,6 +37,10 @@ from .surface import (
 from .warp import WarpSpec, warped_einstein_report
 
 
+# the most probe points one command builds, so that memory stays bounded
+MAX_POINTS = 10_000
+
+
 class InputError(ValueError):
     pass
 
@@ -100,7 +104,7 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _as_table(payload, prefix="") -> str:
+def _as_table(payload) -> str:
     lines = []
 
     def walk(obj, key):
@@ -113,7 +117,7 @@ def _as_table(payload, prefix="") -> str:
         else:
             lines.append(f"{key}\t{obj}")
 
-    walk(payload, prefix)
+    walk(payload, "")
     return "\n".join(lines) + "\n"
 
 
@@ -216,8 +220,7 @@ def _cmd_extend(args) -> int:
                    for row in metric.eval_matrix(point)],
         "ricci_at_point": [[fmt_float(pack.ricci[a][b].eval(point).real)
                             for b in range(4)] for a in range(4)],
-        "scalar_curvature": fmt_float(pack.scalar.eval(point).real)
-        if not pack.scalar.is_zero() else 0.0,
+        "scalar_curvature": fmt_float(pack.scalar.eval(point).real),
         "weyl_half_norms": {"self_dual": fmt_float(norms[0]),
                             "anti_self_dual": fmt_float(norms[1])},
     }
@@ -276,7 +279,6 @@ DEFAULT_SWEEP_MUS = (Fraction(0), Fraction(-1), Fraction(-1, 2),
 
 
 def random_connection(kind: str, rng: random.Random, *,
-                      normalized: bool = True,
                       nonflat: bool = False) -> AffineConnection2:
     """Integer coefficients in [-3, 3]; Type B draws are normalized
     (C22^1 in {0, ±1}, C12^1 = 0 when C22^1 != 0)."""
@@ -285,8 +287,8 @@ def random_connection(kind: str, rng: random.Random, *,
             conn = AffineConnection2.type_a(
                 *[rng.randint(-3, 3) for _ in range(6)])
         else:
-            c221 = rng.choice([-1, 0, 1]) if normalized else rng.randint(-3, 3)
-            c121 = 0 if (normalized and c221) else rng.randint(-3, 3)
+            c221 = rng.choice([-1, 0, 1])
+            c121 = 0 if c221 else rng.randint(-3, 3)
             conn = AffineConnection2.type_b(
                 rng.randint(-3, 3), rng.randint(-3, 3), c121,
                 rng.randint(-3, 3), c221, rng.randint(-3, 3))
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="probe-point seed (env QE_SEED overrides)")
         p.add_argument("--points", type=int, default=10,
-                       help="number of probe points (>= 1)")
+                       help=f"number of probe points (1 to {MAX_POINTS})")
 
     p = sub.add_parser("classify", help="Ricci tensor, type flags, "
                                         "projective flatness")
@@ -422,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "points", 1) < 1:
-        print("error: --points must be >= 1", file=sys.stderr)
+    if not 1 <= getattr(args, "points", 1) <= MAX_POINTS:
+        print(f"error: --points must be between 1 and {MAX_POINTS}",
+              file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -35,11 +35,6 @@ _ONE4 = constant(1, Context.FOURD)
 _EPS = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
         for p in itertools.permutations(range(4))}
 
-# Orientation dx1 ^ dx2 ^ dy1 ^ dy2; with this choice the *anti-self-dual*
-# half (projector (1 - star)/2) is the one that vanishes for every extension
-# metric, and it is labeled below as the distinguished half.
-VANISHING_WEYL_SIGN = -1
-
 _PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 
 
@@ -247,29 +242,6 @@ class CurvaturePack4:
             last = self._hessian = (w, hessian(self.christoffel, w))
         return last[1]
 
-    # -- derived checks -------------------------------------------------------
-    def ricci_is_symmetric(self) -> bool:
-        return all(self.ricci[a][b] == self.ricci[b][a]
-                   for a in range(4) for b in range(4))
-
-    def first_bianchi_zero(self) -> bool:
-        R = self.riemann_up
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    for d in range(4):
-                        s = R[a][b][c][d] + R[b][c][a][d] + R[c][a][b][d]
-                        if not s.is_zero():
-                            return False
-        return True
-
-    def weyl_trace_residuals(self):
-        """All metric traces of the Weyl tensor (exact functions)."""
-        return [sum_products(((self.g_inv[a][c], self.weyl[a][b][c][d])
-                              for a in range(4) for c in range(4)),
-                             Context.FOURD)
-                for b in range(4) for d in range(4)]
-
     # -- two-form machinery ---------------------------------------------------
     def star_operator(self):
         """Hodge star on 2-forms for orientation dx1^dx2^dy1^dy2 (det g = 1)."""
@@ -434,16 +406,16 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     iso = gradient_norm_sq(metric, w)
     report.add("isotropy_grad_norm", 0.0 if iso.is_zero() else 1.0, 0.0)
 
-    # (iii) distinguished Weyl half
-    plus, minus = pack.weyl_halves()
-    vanishing = minus if VANISHING_WEYL_SIGN < 0 else plus
+    # (iii) distinguished Weyl half.  Orientation dx1 ^ dx2 ^ dy1 ^ dy2;
+    # with this choice the *anti-self-dual* half (projector (1 - star)/2) is
+    # the one that vanishes for every extension metric.
+    _, vanishing = pack.weyl_halves()
     if all(v.is_zero() for row in vanishing for v in row):
         worst = 0.0
     else:
         worst = max(_frobenius(vanishing, p) for p in points)
     report.add("weyl_half", worst, 1e-8)
-    report.metadata["vanishing_half"] = (
-        "anti-self-dual" if VANISHING_WEYL_SIGN < 0 else "self-dual")
+    report.metadata["vanishing_half"] = "anti-self-dual"
     return report
 
 

@@ -448,16 +448,6 @@ def _term_from_json(d: dict) -> Term:
     )
 
 
-# -- operation aliases -----------------------------------------------------------
-
-def derive(f: AnsatzFunction, axis: int) -> AnsatzFunction:
-    return f.derive(axis)
-
-
-def evaluate(f: AnsatzFunction, point) -> complex:
-    return f.eval(point)
-
-
 # -- constructors --------------------------------------------------------------
 
 def constant(value, context: Context) -> AnsatzFunction:

@@ -262,20 +262,20 @@ def _degree_b(t: Term) -> int:  # l + q of x1^alpha log(x1)^l x2^q
     return t.logdeg + t.deg2
 
 
-def _span_terms_a(pairs, deg_max=2):
-    """Exp-polynomial monomials e^{b1 x1 + b2 x2} x1^p x2^q, p+q <= deg_max,
-    for each distinct pair in turn."""
+def _span_terms_a(pairs):
+    """Exp-polynomial monomials e^{b1 x1 + b2 x2} x1^p x2^q, p+q <= 2, for
+    each distinct pair in turn."""
     return [Term(Scalar(1), b1, b2, Scalar(p), 0, q)
             for b1, b2 in dict.fromkeys(pairs)
-            for p in range(deg_max + 1) for q in range(deg_max + 1 - p)]
+            for p in range(3) for q in range(3 - p)]
 
 
-def _span_terms_b(alphas, log_max=2, deg2_max=2):
-    """Power-log monomials x1^a log(x1)^l x2^q, l <= log_max, q <= deg2_max,
-    for each distinct exponent in turn."""
+def _span_terms_b(alphas, deg2_max=2):
+    """Power-log monomials x1^a log(x1)^l x2^q, l <= 2, q <= deg2_max, for
+    each distinct exponent in turn."""
     return [Term(Scalar(1), Scalar(0), Scalar(0), a, l, q)
             for a in dict.fromkeys(map(Scalar.of, alphas))
-            for l in range(log_max + 1) for q in range(deg2_max + 1)]
+            for l in range(3) for q in range(deg2_max + 1)]
 
 
 def _certify(conn, mu, basis, label):
@@ -356,10 +356,15 @@ def _exp2(a2, extra_deg2=0, coeff=1):
     return monomial(Context.TYPE_A, coeff=coeff, exp=(0, a2), x2=extra_deg2)
 
 
-def _quadratic_exponents(gamma222: Scalar, mu_rho22: Scalar):
-    """Roots of a2^2 - Gamma_22^2 a2 - mu rho_22 = 0 as exact Scalars."""
-    return _quadratic_roots(-gamma222, -mu_rho22,
+def _exp2_pair(gamma222: Scalar, mu_rho22: Scalar):
+    """The solutions e^{a x2}, one per root a of a^2 - Gamma_22^2 a -
+    mu rho_22 = 0, with x2 e^{a x2} as the second at a double root; and
+    whether the root is double."""
+    a, b = _quadratic_roots(-gamma222, -mu_rho22,
                             "exponent quadratic needs rational data")
+    if a == b:
+        return [_exp2(a), _exp2(a, extra_deg2=1)], True
+    return [_exp2(a), _exp2(b)], False
 
 
 def _conic_pairs(conn: AffineConnection2, r):
@@ -413,7 +418,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
     ric = ricci(conn)
     mus = Scalar(mu)
     if ric.is_flat:
-        terms = _span_terms_a(_flat_weight_pairs(conn), deg_max=2)
+        terms = _span_terms_a(_flat_weight_pairs(conn))
         basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3, _degree_a)
         return EigenspaceDescription(tuple(basis), "Thm1.5(3) flat", mu, conn)
     rank = ric.rank_s
@@ -438,11 +443,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
             c = rotated.coefficient(1, 2, 1)
             e = rotated.coefficient(2, 2, 1)
             f = rotated.coefficient(2, 2, 2)
-            roots = _quadratic_exponents(f, -rho22)
-            if roots[0] == roots[1]:
-                basis = [_exp2(roots[0]), _exp2(roots[0], extra_deg2=1)]
-            else:
-                basis = [_exp2(roots[0]), _exp2(roots[1])]
+            basis, _ = _exp2_pair(f, -rho22)
             if not a.is_zero():
                 third = monomial(Context.TYPE_A, exp=(a, c))
             else:
@@ -457,7 +458,7 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
                                         coeff=e * Fraction(1, 2))
             return EigenspaceDescription((*basis, third), "Thm1.10(2) rank1",
                                          mu, rotated, change)
-        terms = _span_terms_a(_conic_pairs(conn, ric.r_s), deg_max=2)
+        terms = _span_terms_a(_conic_pairs(conn, ric.r_s))
         basis = _solve_span(conn, mu, terms, "Thm1.10(2) rank2", 3)
         return EigenspaceDescription(tuple(basis), "Thm1.10(2) rank2", mu,
                                      conn)
@@ -465,14 +466,8 @@ def _eigenspace_a(conn: AffineConnection2, mu: Fraction):
     if rank == 2:
         return EigenspaceDescription((), "Thm1.10(3) rank2", mu, conn)
     rotated, change, rho22 = _rank1_frame(conn, ric)
-    f = rotated.coefficient(2, 2, 2)
-    roots = _quadratic_exponents(f, mus * rho22)
-    if roots[0] == roots[1]:
-        basis = [_exp2(roots[0]), _exp2(roots[0], extra_deg2=1)]
-        label = "Thm1.10(3) rank1 degenerate"
-    else:
-        basis = [_exp2(roots[0]), _exp2(roots[1])]
-        label = "Thm1.10(3) rank1"
+    basis, double = _exp2_pair(rotated.coefficient(2, 2, 2), mus * rho22)
+    label = "Thm1.10(3) rank1" + (" degenerate" if double else "")
     return EigenspaceDescription(tuple(basis), label, mu, rotated, change)
 
 
@@ -542,7 +537,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     ric = ricci(conn)
     mus = Scalar(mu)
     if ric.is_flat:
-        terms = _span_terms_b(_flat_b_candidates(conn), log_max=2, deg2_max=2)
+        terms = _span_terms_b(_flat_b_candidates(conn))
         basis = _solve_span(conn, mu, terms, "Thm1.5(3) flat", 3, _degree_b)
         return EigenspaceDescription(tuple(basis), "Thm1.5(3) flat", mu, conn)
     if _all_zero(ric.r_s):
@@ -555,14 +550,14 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
         if spf:
             if flags_in.is_also_type_a:
                 cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
-                terms = _span_terms_b(cands, log_max=2, deg2_max=1)
+                terms = _span_terms_b(cands, deg2_max=1)
                 label = "Thm1.13(1) alsoA"
                 basis = _solve_span(conn, mu, terms, label, 3, _degree_b)
                 return EigenspaceDescription(tuple(basis), label, mu, conn)
             normalized, record = normalize_type_b(conn)
             v = normalized.coefficient(1, 2, 2)
             cands = [v, v + 1, v + 2]
-            terms = _span_terms_b(cands, log_max=2, deg2_max=2)
+            terms = _span_terms_b(cands)
             vtxt = str(v.as_fraction()) if v.is_rational() else repr(v)
             label = f"Thm1.13(2) v={vtxt}"
             basis = _solve_span(normalized, mu, terms, label, 3, _degree_b)
@@ -595,7 +590,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     # mu outside {0, -1}
     if flags_in.is_also_type_a:
         cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
-        terms = _span_terms_b(cands, log_max=2, deg2_max=1)
+        terms = _span_terms_b(cands, deg2_max=1)
         label = "Thm6.1(2) TypeA-form"
         basis = _solve_span(conn, mu, terms, label, 2, _degree_b)
         return EigenspaceDescription(tuple(basis), label, mu, conn)
@@ -689,24 +684,17 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
     r_s = ricci(conn).r_s
     cm = conn.coeff_map()
     z, o = Scalar(0), Scalar(1)
-    if conn.kind == "A":
-        m1 = [[z, o, z],
-              [mus * r_s[0][0], cm["111"], cm["112"]],
-              [mus * r_s[0][1], cm["121"], cm["122"]]]
-        m2 = [[z, z, o],
-              [mus * r_s[0][1], cm["121"], cm["122"]],
-              [mus * r_s[1][1], cm["221"], cm["222"]]]
-        g = _linalg.matsub(_linalg.matmul(m2, m1), _linalg.matmul(m1, m2))
-    else:
-        m1 = [[z, o, z],
-              [mus * r_s[0][0], o + cm["111"], cm["112"]],
-              [mus * r_s[0][1], cm["121"], o + cm["122"]]]
-        m2 = [[z, z, o],
-              [mus * r_s[0][1], cm["121"], cm["122"]],
-              [mus * r_s[1][1], cm["221"], cm["222"]]]
-        g = _linalg.matsub(
-            _linalg.matsub(_linalg.matmul(m2, m1), _linalg.matmul(m1, m2)),
-            m2)
+    m1 = [[z, o, z],
+          [mus * r_s[0][0], cm["111"], cm["112"]],
+          [mus * r_s[0][1], cm["121"], cm["122"]]]
+    m2 = [[z, z, o],
+          [mus * r_s[0][1], cm["121"], cm["122"]],
+          [mus * r_s[1][1], cm["221"], cm["222"]]]
+    if conn.kind == "B":  # the x1-weighted frame shifts m1's lower block
+        m1[1][1], m1[2][2] = o + m1[1][1], o + m1[2][2]
+    g = _linalg.matsub(_linalg.matmul(m2, m1), _linalg.matmul(m1, m2))
+    if conn.kind == "B":  # ... and adds -m2 to the obstruction
+        g = _linalg.matsub(g, m2)
     # The echelon grows to the smallest span of the obstruction rows that is
     # closed under right multiplication by m1 and m2.  The rows that add a
     # pivot span the echelon, so once the images of each of them are in it,

@@ -235,10 +235,6 @@ class Scalar:
         return Scalar(_fr(value))
 
     @staticmethod
-    def i(coeff: RationalLike = 1) -> "Scalar":
-        return Scalar(0, coeff)
-
-    @staticmethod
     def sqrt_rational(q) -> "Scalar":
         """Principal square root of a rational: exact, lands in Q(i)(sqrt m)."""
         q = _fr(q)

@@ -61,10 +61,6 @@ class AffineConnection2:
         idx = {(1, 1): 0, (1, 2): 2, (2, 2): 4}[(i, j)] + (k - 1)
         return self.coeffs[idx]
 
-    def gamma_function(self, i: int, j: int, k: int) -> AnsatzFunction:
-        """Gamma_ij^k as a function (1-based), read from `christoffel`."""
-        return _gamma_function(self)[k - 1][i - 1][j - 1]
-
     @property
     def context(self) -> Context:
         return Context.TYPE_A if self.kind == "A" else Context.TYPE_B
@@ -100,7 +96,9 @@ class RicciData:
     """Ricci tensor of a homogeneous surface connection.
 
     `r` is the exact constant coefficient matrix: the Ricci tensor itself for
-    Type A, and the numerator of (matrix)/x1^2 for Type B.
+    Type A, and the numerator of (matrix)/x1^2 for Type B.  When r is
+    symmetric (every Type A connection), `r_s` and `rho_s` are `r` and `rho`
+    themselves.
     """
 
     kind: str
@@ -108,6 +106,8 @@ class RicciData:
 
     @cached_property
     def r_s(self):
+        if self.is_symmetric:
+            return self.r
         half = Fraction(1, 2)
         return tuple(
             tuple((self.r[i][j] + self.r[j][i]) * half for j in range(2))
@@ -127,6 +127,8 @@ class RicciData:
 
     @cached_property
     def rho_s(self):
+        if self.is_symmetric:
+            return self.rho
         return tuple(tuple(self._as_function(self.r_s, i, j) for j in range(2))
                      for i in range(2))
 
@@ -141,10 +143,6 @@ class RicciData:
     @cached_property
     def rank_s(self) -> int:
         return _linalg.rank(_linalg.sparse(self.r_s))
-
-    @cached_property
-    def rank(self) -> int:
-        return _linalg.rank(_linalg.sparse(self.r))
 
 
 def christoffel(conn: AffineConnection2) -> tuple:
@@ -231,9 +229,6 @@ class NormalizationRecord:
         # combined map: xt = (x1, shear*x1 + scale*x2)
         return ((Scalar(1), Scalar(0)), (self.shear, self.scale))
 
-    def apply(self, conn: AffineConnection2) -> AffineConnection2:
-        return transform(conn, self.matrix)
-
     def to_json(self):
         return {"scale": scalar_to_json(self.scale),
                 "shear": scalar_to_json(self.shear),
@@ -276,18 +271,6 @@ def nabla_ricci(conn: AffineConnection2):
                 out[(i + 1, j + 1, k + 1)] = rho[i][j].derive(k + 1) - (
                     sum_products(pairs, conn.context))
     return out
-
-
-def symmetry_obstructions_type_b(conn: AffineConnection2):
-    """The two closed-form scalars whose vanishing (with symmetric Ricci,
-    i.e. C22^2 = -C12^1) is total symmetry of nabla rho for Type B."""
-    c = conn.coeff_map()
-    c111, c112 = c["111"], c["112"]
-    c121, c122 = c["121"], c["122"]
-    c221 = c["221"]
-    s1 = c111 * c121 + 3 * c112 * c221 - 2 * c121 * c122 + 2 * c121
-    s2 = 2 * c111 * c221 - 6 * c121 * c121 - 4 * c122 * c221 - 2 * c221
-    return s1, s2
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,31 @@ def test_sweep_checks_output_before_any_row(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_points_out_of_range_exit_2_before_any_probe(capsys, tmp_path,
+                                                     monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def default_probe_points(seed=0, count=10):
+        raise Reached(count)
+
+    monkeypatch.setattr(cli, "default_probe_points", default_probe_points)
+    path = tmp_path / "a2.json"
+    save_connection(A2, path)
+    for points in (0, cli.MAX_POINTS + 1):
+        code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                                 "--mu", "1", "--points", str(points))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --points must be between 1 and "
+                       f"{cli.MAX_POINTS}\n")
+    # the bound itself is accepted and reaches the probes
+    with pytest.raises(Reached) as got:
+        main(["verify", "--input", str(path), "--mu", "1",
+              "--points", str(cli.MAX_POINTS)])
+    assert got.value.args == (cli.MAX_POINTS,)
+
+
 # AnsatzFunction constructions per command on the Type A connection
 # C11^1 = C12^2 = C22^1 = 1, counted with the surface caches cleared.  The
 # parent of the zero-skipping term algebra built 3925, 1521 and 2569; a

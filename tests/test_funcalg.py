@@ -180,8 +180,8 @@ def _reference_rank_basis(fs):
 def test_rank_basis_matches_reference():
     rng = random.Random(11)
     sqrt2 = Scalar.sqrt_rational(2)
-    coeffs = (Scalar(1), Scalar(-2), Scalar(Fraction(1, 3)), Scalar.i(),
-              Scalar(1, 1), sqrt2, sqrt2 + Scalar.i(Fraction(1, 2)))
+    coeffs = (Scalar(1), Scalar(-2), Scalar(Fraction(1, 3)), Scalar(0, 1),
+              Scalar(1, 1), sqrt2, sqrt2 + Scalar(0, Fraction(1, 2)))
     # a few shared term keys, so that rows overlap
     keys = [dict(exp=(e, 0), pow1=p, x2=q)
             for e in (0, 1) for p in (0, 1) for q in (0, 1)]
@@ -450,7 +450,7 @@ def test_field_scalars_read_from_the_whole_minimal_polynomial():
                 "min": ["-2", "0", "0", "1"], "root": root}
         got = scalar_from_json(data)
         t = Scalar.algebraic((-2, 0, 0, 1), root)
-        assert got == 1 + t + Scalar.i(Fraction(1, 2)) * t * t
+        assert got == 1 + t + Scalar(0, Fraction(1, 2)) * t * t
         assert scalar_to_json(got) == data
         assert scalar_from_json(scalar_to_json(got)) == got
 

@@ -44,3 +44,12 @@ def test_cache_stats_follows_the_caches():
     info = affineqe.cache_stats()["surface._gamma_function"]
     assert (info.currsize, info.misses) == (1, 1)
     surface._gamma_function.cache_clear()
+
+
+def test_all_lists_every_public_name():
+    """`__all__` is exactly the package's public names that are not modules,
+    with no name twice, so `from affineqe import *` exports what the package
+    imports and nothing it no longer has."""
+    public = {name for name, value in vars(affineqe).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(affineqe.__all__) == sorted(public)

@@ -407,6 +407,25 @@ def test_degenerate_discriminant_basis():
     assert jet_dimension_oracle(conn, Fraction(1, 2)) == 2
 
 
+def test_mu_minus_one_rank1_double_root_basis():
+    # a^2 - Gamma_22^2 a + rho_22 = a^2 - 2a + 1 has the double root a = 1,
+    # so the companion is x2 e^{x2}; with Gamma_11^1 = 0 and
+    # 2 Gamma_12^1 = Gamma_22^2 the third element is
+    # x1 e^{x2} + (Gamma_22^1 / 2) x2^2 e^{x2}
+    conn = AffineConnection2.type_a(c121=1, c221=-1, c222=2)
+    desc = eigenspace(conn, -1)
+    assert desc.case_label == "Thm1.10(2) rank1"
+    assert desc.dim == 3 == jet_dimension_oracle(conn, -1)
+    assert desc.change.is_identity
+    zero, one = Scalar(0), Scalar(1)
+    assert [f.terms for f in desc.basis] == [
+        (Term(one, zero, one),),
+        (Term(one, zero, one, deg2=1),),
+        (Term(Scalar(Fraction(-1, 2)), zero, one, deg2=2),
+         Term(one, zero, one, pow1=one)),
+    ]
+
+
 def test_realize_real_basis_cubic_contexts():
     # exponents from an irreducible cubic: one real root plus conjugate pair
     conn = AffineConnection2.type_a(c111=2, c112=1, c221=1)
@@ -581,7 +600,7 @@ def test_closed_form_rows_match_qe_residual():
     for conn in (AffineConnection2.type_a(c111=2, c112=1, c221=1),
                  AffineConnection2.type_a(c112=1, c221=1)):
         pairs = qesolver._conic_pairs(conn, ricci(conn).r_s)
-        terms = qesolver._span_terms_a(pairs, deg_max=2)
+        terms = qesolver._span_terms_a(pairs)
         for mu in (-1, q()):
             _check_rows(conn, mu, terms)
 

@@ -70,7 +70,7 @@ def test_rational_arithmetic():
 
 
 def test_gaussian_arithmetic():
-    i = Scalar.i()
+    i = Scalar(0, 1)
     assert (i * i) == Scalar(-1)
     z = Scalar(1, 2)  # 1 + 2i
     w = Scalar(3, -1)
@@ -88,7 +88,7 @@ def test_sqrt_normalization():
     assert (r2 * r2) == Scalar(2)
     assert Scalar.sqrt_rational(Fraction(9, 4)) == Scalar(Fraction(3, 2))
     rneg = Scalar.sqrt_rational(-4)
-    assert rneg == Scalar.i(2)
+    assert rneg == Scalar(0, 2)
     rm = Scalar.sqrt_rational(Fraction(1, 2))
     assert rm * rm == Scalar(Fraction(1, 2))
     assert abs(rm.to_complex() - 0.7071067811865476) < 1e-15
