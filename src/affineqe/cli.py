@@ -11,6 +11,7 @@ sweeps emit CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -53,36 +54,30 @@ def _parse_mu(text: str) -> Fraction:
                          f"got {text!r}: {exc}")
 
 
-def _load_conn(path: str) -> AffineConnection2:
+@contextlib.contextmanager
+def _reading(path: str, name: str, content: str):
+    """Report a missing, unreadable or malformed file as one InputError."""
     try:
-        return load_connection(path)
+        yield
     except FileNotFoundError:
-        raise InputError(f"no such input file: {path}")
+        raise InputError(f"no such {name} file: {path}")
     except OSError as exc:
-        raise InputError(f"cannot read input file {path}: "
+        raise InputError(f"cannot read {name} file {path}: "
                          f"{exc.strerror or exc}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"malformed connection file {path}: {exc}")
+    except (ArithmeticError, ValueError) as exc:
+        raise InputError(f"malformed {content} file {path}: {exc}")
+
+
+def _load_conn(path: str) -> AffineConnection2:
+    with _reading(path, "input", "connection"):
+        return load_connection(path)
 
 
 def _load_phi(path: str | None, context: Context) -> DeformationTensor:
     if path is None:
         return DeformationTensor.zero(context)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise TypeError("a deformation must be an object with phi11, "
-                            "phi12 and phi22")
-        return DeformationTensor.from_json(data, context)
-    except FileNotFoundError:
-        raise InputError(f"no such deformation file: {path}")
-    except OSError as exc:
-        raise InputError(f"cannot read deformation file {path}: "
-                         f"{exc.strerror or exc}")
-    except (json.JSONDecodeError, ArithmeticError, LookupError, ValueError,
-            TypeError) as exc:
-        raise InputError(f"malformed deformation file {path}: {exc}")
+    with _reading(path, "deformation", "deformation"), open(path) as fh:
+        return DeformationTensor.from_json(json.load(fh), context)
 
 
 def _seed(args) -> int:
@@ -346,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the cotangent bundle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=False):
+    def common(p, mu=False, metric=False):
         p.add_argument("--input", required=True,
                        help="connection JSON file: {\"kind\": \"A\"|\"B\", "
                             "\"coeffs\": {\"111\": \"p/q\", ...}}")
@@ -356,10 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of "
                                         "stdout")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="probe-point seed (env QE_SEED overrides)")
-        p.add_argument("--points", type=int, default=10,
-                       help=f"number of probe points (1 to {MAX_POINTS})")
+        if metric:  # the commands that build T*M and sample it at probes
+            p.add_argument("--phi", help="deformation tensor JSON file")
+            p.add_argument("--seed", type=int, default=0,
+                           help="probe-point seed (env QE_SEED overrides)")
+            p.add_argument("--points", type=int, default=10,
+                           help=f"number of probe points (1 to {MAX_POINTS})")
+        if metric and mu:  # the commands that pick a solution f
+            p.add_argument("--f-index", type=int, default=None,
+                           help="use this element of the real basis")
 
     p = sub.add_parser("classify", help="Ricci tensor, type flags, "
                                         "projective flatness")
@@ -381,23 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="cotangent-bundle metric and curvature "
                                       "summary")
-    common(p)
-    p.add_argument("--phi", help="deformation tensor JSON file")
+    common(p, metric=True)
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("verify", help="quasi-Einstein checks for the "
                                       "extension metric")
-    common(p, mu=True)
-    p.add_argument("--phi", help="deformation tensor JSON file")
-    p.add_argument("--f-index", type=int, default=None,
-                   help="use this element of the real basis")
+    common(p, mu=True, metric=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("warp", help="warped-product Einstein report "
                                     "(r = 2/mu)")
-    common(p, mu=True)
-    p.add_argument("--phi", help="deformation tensor JSON file")
-    p.add_argument("--f-index", type=int, default=None)
+    common(p, mu=True, metric=True)
     p.set_defaults(func=_cmd_warp)
 
     p = sub.add_parser(
@@ -424,11 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= getattr(args, "points", 1) <= MAX_POINTS:
-        print(f"error: --points must be between 1 and {MAX_POINTS}",
-              file=sys.stderr)
-        return 2
     try:
+        if not 1 <= getattr(args, "points", 1) <= MAX_POINTS:
+            raise InputError(f"--points must be between 1 and {MAX_POINTS}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .funcalg import (
     _ZEROS, AnsatzFunction, Context, Point, Term, constant, contracted_ricci,
-    hessian, product, riemann, sum_products, to_bundle,
+    hessian, input_object, product, riemann, sum_products, to_bundle,
 )
 from .qesolver import is_solution, potential_residual_at
 from .report import VerificationReport
@@ -65,10 +65,10 @@ class DeformationTensor:
 
     @classmethod
     def from_json(cls, data, context: Context) -> "DeformationTensor":
-        return cls(
-            AnsatzFunction.from_json(data.get("phi11", []), context),
-            AnsatzFunction.from_json(data.get("phi12", []), context),
-            AnsatzFunction.from_json(data.get("phi22", []), context))
+        keys = ("phi11", "phi12", "phi22")
+        input_object(data, "a deformation", optional=keys)
+        return cls(*(AnsatzFunction.from_json(data.get(k, []), context)
+                     for k in keys))
 
 
 @dataclass(frozen=True)

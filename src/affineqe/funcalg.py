@@ -324,7 +324,8 @@ class AnsatzFunction:
 
     @staticmethod
     def from_json(data: list, context: Context) -> "AnsatzFunction":
-        return AnsatzFunction([_term_from_json(d) for d in data], context)
+        terms = input_list(data, "a function")
+        return AnsatzFunction([_term_from_json(d) for d in terms], context)
 
 
 _ZEROS = {c: AnsatzFunction((), c) for c in Context}
@@ -354,12 +355,12 @@ MAX_INPUT_DIGITS = 100  # bounds the work of every later factorization
 
 
 def input_fraction(x) -> Fraction:
-    """Fraction(x) for a number read from a file or the command line,
-    refusing a bool and more than MAX_INPUT_DIGITS digits in its numerator
+    """Fraction(x) for an int (no bool) or a string read from a file or the
+    command line, refusing more than MAX_INPUT_DIGITS digits in its numerator
     or denominator.  A decimal exponent is read first, so that Fraction never
     expands one that, for any nonzero mantissa, makes the value too long."""
-    if isinstance(x, bool):
-        raise ValueError(f"{x!r} is not a number")
+    if type(x) is not int and not isinstance(x, str):
+        raise ValueError(f"{x!r} is not an exact number")
     too_long = False
     if isinstance(x, str):
         try:
@@ -375,15 +376,48 @@ def input_fraction(x) -> Fraction:
                      f"its numerator or denominator")
 
 
+def input_int(x, what: str) -> int:
+    """An integer read from a file: an int that is not a bool, or a string
+    of one; a float or a bool is refused, not truncated."""
+    try:
+        if type(x) is int or isinstance(x, str):
+            return int(x)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} must be an integer, not {x!r}")
+
+
+def input_list(x, what: str, n: int | None = None) -> list:
+    """x, a list of exactly n entries, or of any number when n is None."""
+    if not isinstance(x, list) or n not in (None, len(x)):
+        raise ValueError(f"{what} must be a list"
+                         + (f" of {n} entries" if n else ""))
+    return x
+
+
+def input_object(x, what: str, required=(), optional=()) -> dict:
+    """x, an object with the keys `required` and any of `optional`."""
+    if not (isinstance(x, dict)
+            and set(required) <= x.keys() <= {*required, *optional}):
+        keys = (*required, *(f"{k}?" for k in optional))
+        raise ValueError(f"{what} must be an object with the keys "
+                         f"{', '.join(keys)} (? optional)")
+    return x
+
+
 def scalar_from_json(data) -> Scalar:
-    if isinstance(data, (int, str)):
-        return Scalar(input_fraction(data))
+    """A number, a Gaussian rational [re, im], or the field element
+    {"c": [[re, im], ...], "min": [...], "root": k}."""
     if isinstance(data, list):
-        return Scalar(input_fraction(data[0]), input_fraction(data[1]))
-    coeffs = [(input_fraction(re), input_fraction(im))
-              for re, im in data["c"]]
-    minpoly = [input_fraction(c) for c in data["min"]]
-    root = _input_int(data["root"], "root")
+        re, im = input_list(data, "a Gaussian scalar", 2)
+        return Scalar(input_fraction(re), input_fraction(im))
+    if not isinstance(data, dict):
+        return Scalar(input_fraction(data))
+    input_object(data, "a field scalar", ("c", "min", "root"))
+    coeffs = [[input_fraction(x) for x in input_list(pair, "a 'c' entry", 2)]
+              for pair in input_list(data["c"], "'c'")]
+    minpoly = [input_fraction(c) for c in input_list(data["min"], "'min'")]
+    root = input_int(data["root"], "'root'")
     if len(minpoly) not in (3, 4) or minpoly[-1] != 1:
         raise ValueError("'min' must be a monic quadratic or cubic, "
                          "ascending")
@@ -418,33 +452,19 @@ def _term_to_json(t: Term) -> dict:
     }
 
 
-def _input_int(x, key: str) -> int:
-    """An integer read from a file: an int that is no bool, or a string of
-    one; a float or a bool is refused, not truncated."""
-    if isinstance(x, str):
-        try:
-            return int(x)
-        except ValueError:
-            pass
-    elif type(x) is int:
-        return x
-    raise ValueError(f"'{key}' must be an integer, not {x!r}")
-
-
-def _term_from_json(d: dict) -> Term:
-    exp, y = d["exp"], d.get("y", [0, 0])
-    for key, pair in (("exp", exp), ("y", y)):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"'{key}' must be a list of two entries")
+def _term_from_json(d) -> Term:
+    input_object(d, "a term", ("coeff", "exp"), ("pow1", "log", "x2", "y"))
+    exp1, exp2 = input_list(d["exp"], "'exp'", 2)
+    y1, y2 = input_list(d.get("y", [0, 0]), "'y'", 2)
     return Term(
         coeff=scalar_from_json(d["coeff"]),
-        exp1=scalar_from_json(exp[0]),
-        exp2=scalar_from_json(exp[1]),
+        exp1=scalar_from_json(exp1),
+        exp2=scalar_from_json(exp2),
         pow1=scalar_from_json(d.get("pow1", "0")),
-        logdeg=_input_int(d.get("log", 0), "log"),
-        deg2=_input_int(d.get("x2", 0), "x2"),
-        fiberdeg1=_input_int(y[0], "y"),
-        fiberdeg2=_input_int(y[1], "y"),
+        logdeg=input_int(d.get("log", 0), "'log'"),
+        deg2=input_int(d.get("x2", 0), "'x2'"),
+        fiberdeg1=input_int(y1, "'y'"),
+        fiberdeg2=input_int(y2, "'y'"),
     )
 
 

@@ -533,6 +533,18 @@ def _mu0_type_b(conn: AffineConnection2, mu, label_suffix=""):
     return EigenspaceDescription(tuple(basis), label + label_suffix, mu, conn)
 
 
+def _normalized_frame(conn: AffineConnection2, shape):
+    """The normalized frame (connection, change, record) of a Type B
+    connection with C22^1 != 0, its coefficients n, sign eps and whether
+    shape(n, eps) holds; a shape that holds at -eps only is flagged."""
+    normalized, record = normalize_type_b(conn)
+    n, eps = normalized.coeff_map(), record.epsilon
+    holds = shape(n, eps)
+    flags = ("eps-pairing-sensitive",) if not holds and shape(n, -eps) else ()
+    return ((normalized, CoordinateChange(record.matrix), record), n, eps,
+            holds, flags)
+
+
 def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     ric = ricci(conn)
     mus = Scalar(mu)
@@ -565,28 +577,18 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
                                          CoordinateChange(record.matrix),
                                          record)
         cm = conn.coeff_map()
-        flags = []
         if cm["221"].is_zero():
             if cm["121"] == cm["222"] and not cm["121"].is_zero():
                 return EigenspaceDescription((_b_mono(cm["122"]),),
                                              "Thm1.15(1)", mu, conn)
             return EigenspaceDescription((), "Thm1.15 none", mu, conn)
-        normalized, record = normalize_type_b(conn)
-        change = CoordinateChange(record.matrix)
-        n = normalized.coeff_map()
-        eps = record.epsilon
-        match = (n["222"] == 2 * eps * n["112"] and not n["222"].is_zero()
-                 and n["111"] == 1 + 2 * n["122"] + eps * n["112"] * n["112"])
-        opposite = (n["222"] == -2 * eps * n["112"] and not n["222"].is_zero()
-                    and n["111"] == 1 + 2 * n["122"] - eps * n["112"] * n["112"])
-        if opposite and not match:
-            flags.append("eps-pairing-sensitive")
+        frame, n, _, match, flags = _normalized_frame(conn, lambda n, e: (
+            n["222"] == 2 * e * n["112"] and not n["222"].is_zero()
+            and n["111"] == 1 + 2 * n["122"] + e * n["112"] * n["112"]))
         if match:
             return EigenspaceDescription((_b_mono(n["111"] - n["122"] - 1),),
-                                         "Thm1.15(2)", mu, normalized, change,
-                                         record, tuple(flags))
-        return EigenspaceDescription((), "Thm1.15 none", mu, normalized,
-                                     change, record, tuple(flags))
+                                         "Thm1.15(2)", mu, *frame, flags)
+        return EigenspaceDescription((), "Thm1.15 none", mu, *frame, flags)
     # mu outside {0, -1}
     if flags_in.is_also_type_a:
         cands = _also_a_candidates(conn, mu, ric.r_s[0][0])
@@ -597,29 +599,21 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
     cm = conn.coeff_map()
     if cm["221"].is_zero():
         return EigenspaceDescription((), "Thm1.17 none (C22^1=0)", mu, conn)
-    normalized, record = normalize_type_b(conn)
-    change = CoordinateChange(record.matrix)
-    n = normalized.coeff_map()
-    eps = record.epsilon
-    flags = []
-    shape = n["222"] == 2 * eps * n["112"]
-    shape_opp = n["222"] == -2 * eps * n["112"]
-    if shape_opp and not shape:
-        flags.append("eps-pairing-sensitive")
+    frame, n, eps, shape, flags = _normalized_frame(
+        conn, lambda n, e: n["222"] == 2 * e * n["112"])
     if not shape:
-        return EigenspaceDescription((), "Thm1.17 none", mu, normalized,
-                                     change, record, tuple(flags))
+        return EigenspaceDescription((), "Thm1.17 none", mu, *frame, flags)
     denom = n["111"] - n["122"] - 1
     if denom.is_zero():
         return EigenspaceDescription((), "Thm1.17 excluded locus", mu,
-                                     normalized, change, record, tuple(flags))
+                                     *frame, flags)
     mu_star = ((-(n["111"] * n["111"]) + 2 * n["111"] * n["122"]
                 + 2 * eps * n["112"] * n["112"]
                 - n["122"] * n["122"] + 2 * n["122"] + 1)
                / (denom * denom))
     if mus != mu_star:
-        return EigenspaceDescription((), "Thm1.17 mu mismatch", mu,
-                                     normalized, change, record, tuple(flags))
+        return EigenspaceDescription((), "Thm1.17 mu mismatch", mu, *frame,
+                                     flags)
     alpha = mus * (1 + n["122"] - n["111"])
     basis = [_b_mono(alpha)]
     label = "Thm1.17"
@@ -636,8 +630,7 @@ def _eigenspace_b(conn: AffineConnection2, mu: Fraction):
         basis.append(_b_mono(alpha, x2=1)
                      - _b_mono(alpha + 1, coeff=2 * n["112"]))
         label = "Thm1.17(2)"
-    return EigenspaceDescription(tuple(basis), label, mu, normalized, change,
-                                 record, tuple(flags))
+    return EigenspaceDescription(tuple(basis), label, mu, *frame, flags)
 
 
 def eigenspace(conn: AffineConnection2, mu, *,

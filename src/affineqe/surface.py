@@ -19,8 +19,8 @@ from functools import cached_property, lru_cache
 
 from . import _linalg
 from .funcalg import (
-    AnsatzFunction, Context, constant, monomial, ricci_trace, riemann,
-    scalar_from_json, scalar_to_json, shift_pow1, sum_products,
+    AnsatzFunction, Context, constant, input_object, monomial, ricci_trace,
+    riemann, scalar_from_json, scalar_to_json, shift_pow1, sum_products,
 )
 from .scalars import Scalar
 
@@ -354,25 +354,19 @@ def scalar_str(v: Scalar):
 
 
 def connection_from_json(data: dict) -> AffineConnection2:
-    if not isinstance(data, dict):
-        raise ConnectionError_("a connection must be an object with kind and "
-                               "coeffs")
-    kind = data.get("kind")
-    if kind not in ("A", "B"):
-        raise ConnectionError_(f"bad connection kind {kind!r}")
-    raw = data.get("coeffs", {})
-    if not isinstance(raw, dict):
-        raise ConnectionError_("coeffs must be an object keyed 111..222")
+    input_object(data, "a connection", ("kind",), ("coeffs",))
+    raw = input_object(data.get("coeffs", {}), "coeffs",
+                       optional=_COEFF_ORDER)
     coeffs = []
     for key in _COEFF_ORDER:
         v = raw.get(key, "0")
         try:
             coeffs.append(scalar_from_json(v))
-        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise ConnectionError_(
                 f"coefficient {key} = {v!r} is not an exact scalar: "
                 f"{exc}") from None
-    return AffineConnection2(kind, tuple(coeffs))
+    return AffineConnection2(data["kind"], tuple(coeffs))
 
 
 def load_connection(path) -> AffineConnection2:

@@ -1,3 +1,5 @@
+import collections
+import copy
 import hashlib
 import json
 import os
@@ -271,9 +273,17 @@ def test_env_seed_override(tmp_path, hyperbolic_path, monkeypatch, capsys):
     '{"kind": "B", "coeffs": {"111": {"c": [["0", "0"], ["1", "0"]], '
     '"min": ["-2", "0", "1"], "root": true}}}',
     '{"kind": "A", "coeffs": {"111": true}}',
+    '{"kind": "A", "coeffs": {"211": "1", "122": "1"}}',
+    '{"kind": "A", "coeffs": {"111": "1"}, "name": "a"}',
+    '{"kind": "A", "coeffs": {"111": ["1", "2", "7"]}}',
+    '{"kind": "A", "coeffs": {"111": [0.1, "0"]}}',
+    '{"kind": "B", "coeffs": {"111": {"c": [["0", "0"], ["1", "0"]], '
+    '"min": ["-2", "0", "1"], "root": 1, "note": "sqrt 2"}}}',
 ], ids=["bad_kind", "zero_denominator", "coeffs_list", "top_level_list",
         "float_coeff", "cubic_root_index", "float_root", "bool_root",
-        "bool_coeff"])
+        "bool_coeff", "coeff_key_211", "extra_top_level_key",
+        "gaussian_three_entries", "gaussian_float_entry",
+        "field_scalar_extra_key"])
 def test_bad_input_exit_2(capsys, tmp_path, text):
     p = tmp_path / "broken.json"
     p.write_text(text)
@@ -340,9 +350,17 @@ def test_quadratic_field_scalar_echoed_in_canonical_form(capsys, tmp_path):
     '"phi12": [], "phi22": []}',
     '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "y": [false, 0]}], '
     '"phi12": [], "phi22": []}',
+    '{"phi11": [], "phi21": [{"coeff": "1", "exp": ["0", "0"]}], '
+    '"phi22": []}',
+    '{"phi11": [{"coeff": "1", "exp": ["0", "0"], "x1": 3}], "phi12": [], '
+    '"phi22": []}',
+    '{"phi11": [{"coeff": {"c": [["0", "0"], ["1", "0"]], "min": ["-2", '
+    '"0", "1"], "root": 1, "note": "sqrt 2"}, "exp": ["0", "0"]}], '
+    '"phi12": [], "phi22": []}',
 ], ids=["zero_denominator", "top_level_list", "entry_not_list", "short_exp",
         "short_y", "exp_string", "bool_coeff", "exp_bool", "x2_bool",
-        "x2_float", "log_float", "y_bool"])
+        "x2_float", "log_float", "y_bool", "phi21", "term_key_x1",
+        "field_scalar_extra_key"])
 def test_bad_phi_exit_2(capsys, tmp_path, text):
     conn_path = tmp_path / "a2.json"
     save_connection(A2, conn_path)
@@ -354,6 +372,102 @@ def test_bad_phi_exit_2(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error: malformed deformation file")
     assert len(err.splitlines()) == 1
+
+
+# Seeds of the mutation test below: valid files with every shape the format
+# has (a number as a string and as an int, a Gaussian pair, a field scalar,
+# terms with and without their optional keys).
+MUTATION_SEEDS = (
+    {"kind": "B", "coeffs": {
+        "111": "-1", "112": 0, "122": ["-1", "0"], "221": "1",
+        "222": {"c": [["0", "0"], ["1", "0"]], "min": ["-2", "0", "1"],
+                "root": 1}}},
+    {"phi11": [{"coeff": ["1", "0"], "exp": ["0", "0"], "pow1": "2",
+                "log": 1, "x2": 0, "y": [0, 0]}],
+     "phi12": [],
+     "phi22": [{"coeff": "-3", "exp": [["0", "0"], "0"], "x2": "2"}]},
+)
+# the lists whose length the format leaves free, by their key
+VARIABLE_LENGTH = {"c", "min", "phi11", "phi12", "phi22"}
+LEAVES = (0.5, 0.1, True, False, None, "x", "", "1/0", "2", "-1",
+          10 ** 100 + 7, str(10 ** 100 + 7))
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON document."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _nodes(node[key], path + (key,))
+
+
+def _mutant(seed, rng):
+    """A copy of `seed` with one mutation, and whether the format refuses it
+    whatever the values are: an added or re-keyed object member, or a list
+    made longer than its fixed length."""
+    doc = copy.deepcopy(seed)
+    nodes = list(_nodes(doc))
+    op = rng.choice(("leaf", "leaf", "leaf", "shorten", "lengthen", "add",
+                     "rekey"))
+    if op == "leaf":
+        path, value = rng.choice([(p, v) for p, v in nodes
+                                  if not isinstance(v, (dict, list))])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = rng.choice(LEAVES + ([value], [[value]]))
+        return doc, False
+    if op in ("shorten", "lengthen"):
+        path, items = rng.choice([(p, v) for p, v in nodes
+                                  if isinstance(v, list)])
+        if op == "shorten":
+            del items[-1:]
+            return doc, False
+        items.append(copy.deepcopy(items[-1]) if items else "0")
+        return doc, path[-1] not in VARIABLE_LENGTH
+    _, obj = rng.choice([(p, v) for p, v in nodes if isinstance(v, dict)])
+    if op == "add":
+        obj[f"k{rng.randrange(10)}"] = "1"
+    else:
+        key = rng.choice(list(obj))
+        obj[key + "z"] = obj.pop(key)
+    return doc, True
+
+
+def test_mutated_input_files_exit_cleanly(capsys, tmp_path):
+    """2000 seeded mutants of a valid connection file (read by classify) and
+    a valid --phi file (read by extend), in this process: each exits 0, 1, 2
+    or 3 with no exception, exits 2 and 3 print one stderr line, and every
+    unknown key or over-long fixed-length list exits 2."""
+    rng = random.Random(20261019)
+    base = tmp_path / "hyperbolic.json"
+    save_connection(HYPERBOLIC, base)
+    path = tmp_path / "mutant.json"
+    calls = (("classify", "--input", str(path)),
+             ("extend", "--input", str(base), "--phi", str(path)))
+    for seed, call in zip(MUTATION_SEEDS, calls):
+        path.write_text(json.dumps(seed))
+        assert run_cli(capsys, *call)[0] == 0
+    codes = collections.Counter()
+    t0 = time.perf_counter()
+    for i in range(2000):
+        doc, refused = _mutant(MUTATION_SEEDS[i % 2], rng)
+        path.write_text(json.dumps(doc))
+        try:
+            code, out, err = run_cli(capsys, *calls[i % 2])
+        except Exception as exc:
+            pytest.fail(f"{doc} raised {exc!r}")
+        assert code in (0, 1, 2, 3), doc
+        assert code < 2 or (err.startswith("error: ")
+                            and len(err.splitlines()) == 1), (doc, err)
+        assert code == 2 or not refused, doc
+        if code == 0 and i % 2 == 0:  # classify echoes what it read
+            echoed = json.loads(out)["connection"]
+            assert connection_from_json(echoed) == connection_from_json(doc)
+        codes[code] += 1
+    assert time.perf_counter() - t0 < 10.0
+    assert codes[0] >= 100 and codes[2] >= 1000, codes
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,6 +547,18 @@ def test_points_out_of_range_exit_2_before_any_probe(capsys, tmp_path,
               "--points", str(cli.MAX_POINTS)])
     assert got.value.args == (cli.MAX_POINTS,)
 
+
+
+def test_probe_options_only_on_commands_that_build_probes(capsys, tmp_path):
+    path = tmp_path / "a2.json"
+    save_connection(A2, path)
+    for command in (("classify",), ("solve", "--mu", "1"),
+                    ("oracle", "--mu", "1")):
+        for option in (("--points", "7"), ("--points", "0"), ("--seed", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--input", str(path), *option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 # AnsatzFunction constructions per command on the Type A connection
 # C11^1 = C12^2 = C22^1 = 1, counted with the surface caches cleared.  The
