@@ -272,27 +272,30 @@ class AnsatzFunction:
         y1 = float(coords[2]) if len(coords) > 2 else 0.0
         y2 = float(coords[3]) if len(coords) > 3 else 0.0
         total = 0j
-        for (needs_positive, v, e1, e2, p, int_pow, logdeg, deg2, fiberdeg1,
-             fiberdeg2) in self._float_terms():
-            if needs_positive and x1 <= 0:
-                raise DomainError(
-                    "power/log terms need x1 > 0; got x1 = %g" % x1)
-            if e1 or e2:
-                v *= cmath.exp(e1 * x1 + e2 * x2)
-            if p != 0:
-                if int_pow is not None:
-                    v *= x1 ** int_pow
-                else:
-                    v *= cmath.exp(p * math.log(x1))
-            if logdeg:
-                v *= math.log(x1) ** logdeg
-            if deg2:
-                v *= x2 ** deg2
-            if fiberdeg1:
-                v *= y1 ** fiberdeg1
-            if fiberdeg2:
-                v *= y2 ** fiberdeg2
-            total += v
+        try:
+            for (needs_positive, v, e1, e2, p, int_pow, logdeg, deg2,
+                 fiberdeg1, fiberdeg2) in self._float_terms():
+                if needs_positive and x1 <= 0:
+                    raise DomainError(
+                        "power/log terms need x1 > 0; got x1 = %g" % x1)
+                if e1 or e2:
+                    v *= cmath.exp(e1 * x1 + e2 * x2)
+                if p != 0:
+                    if int_pow is not None:
+                        v *= x1 ** int_pow
+                    else:
+                        v *= cmath.exp(p * math.log(x1))
+                if logdeg:
+                    v *= math.log(x1) ** logdeg
+                if deg2:
+                    v *= x2 ** deg2
+                if fiberdeg1:
+                    v *= y1 ** fiberdeg1
+                if fiberdeg2:
+                    v *= y2 ** fiberdeg2
+                total += v
+        except OverflowError:
+            raise DomainError(f"a term overflows a float at {coords}") from None
         return total
 
     def __repr__(self):

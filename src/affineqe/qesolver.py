@@ -798,11 +798,14 @@ def potential_residual_at(f: AnsatzFunction, hess, rho, mu: Fraction, points,
         fv = fv.real
         values = [g.eval(p) for g in functions] + [0j]
         grad = [values[i] for i in d_at]
-        fgrad = [scale * grad[a] / fv for a in range(n)]
-        for a, b, h, r in entries:
-            hf = scale * (values[h] / fv - grad[a] * grad[b] / fv ** 2)
-            val = hf + values[r] - half_mu * fgrad[a] * fgrad[b]
-            worst = max(worst, abs(val))
+        try:
+            fgrad = [scale * grad[a] / fv for a in range(n)]
+            for a, b, h, r in entries:
+                hf = scale * (values[h] / fv - grad[a] * grad[b] / fv ** 2)
+                val = hf + values[r] - half_mu * fgrad[a] * fgrad[b]
+                worst = max(worst, abs(val))
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"{name} is out of float range at {p}") from None
     return worst
 
 

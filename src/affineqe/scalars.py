@@ -23,7 +23,6 @@ _GQ = tuple  # (Fraction re, Fraction im)
 _F0 = Fraction(0)
 _new = object.__new__
 _ZERO_GQ = (_F0, _F0)
-_ONE_GQ = (Fraction(1), _F0)
 
 
 class ScalarError(ArithmeticError):
@@ -38,10 +37,6 @@ def _fr(x) -> Fraction:
     raise ScalarError(f"expected an exact rational, got {x!r}")
 
 
-def _gq(re, im=0) -> _GQ:
-    return (_fr(re), _fr(im))
-
-
 def _gq_add(a: _GQ, b: _GQ) -> _GQ:
     return (a[0] + b[0], a[1] + b[1])
 
@@ -52,13 +47,6 @@ def _gq_mul(a: _GQ, b: _GQ) -> _GQ:
 
 def _gq_neg(a: _GQ) -> _GQ:
     return (-a[0], -a[1])
-
-
-def _gq_inv(a: _GQ) -> _GQ:
-    n = a[0] * a[0] + a[1] * a[1]
-    if n == 0:
-        raise ZeroDivisionError("division by zero scalar")
-    return (a[0] / n, -a[1] / n)
 
 
 def _gq_is_zero(a: _GQ) -> bool:
@@ -104,51 +92,94 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, m * r
 
 
-def _cubic_discriminant(p: Sequence[Fraction]) -> Fraction:
-    # monic x^3 + b x^2 + c x + d, p = (d, c, b, 1)
+def _discriminant(p: Sequence[Fraction]) -> Fraction:
+    """The discriminant of the monic quadratic or cubic p (ascending)."""
+    if len(p) == 3:
+        return p[1] * p[1] - 4 * p[0]
     d, c, b = p[0], p[1], p[2]
-    return (
-        18 * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2 - 4 * c ** 3 - 27 * d ** 2
-    )
+    return (18 * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2 - 4 * c ** 3
+            - 27 * d ** 2)
 
 
-def _poly_eval_c(p: Sequence[Fraction], z: complex) -> complex:
-    acc = 0j
-    for coeff in reversed(p):
-        acc = acc * z + complex(coeff)
+def _value(g: Sequence[int], y: int) -> int:
+    acc = 0
+    for a in reversed(g):
+        acc = acc * y + a
     return acc
 
 
-def _poly_roots_numeric(p: Sequence[Fraction]) -> list[complex]:
-    """All roots of a monic rational polynomial, degree 2 or 3 (Durand-Kerner)."""
-    deg = len(p) - 1
-    roots = [complex(0.4, 0.9) ** (k + 1) + 0.5 for k in range(deg)]
-    dp = [k * p[k] for k in range(1, len(p))]
-    for _ in range(200):
-        new = []
-        for i, z in enumerate(roots):
-            denom = 1.0 + 0j
-            for j, w in enumerate(roots):
-                if i != j:
-                    denom *= z - w
-            new.append(z - _poly_eval_c(p, z) / denom)
-        shift = max(abs(a - b) for a, b in zip(new, roots))
-        roots = new
-        if shift < 1e-14:
-            break
-    # Newton polish
-    for i, z in enumerate(roots):
-        for _ in range(60):
-            f = _poly_eval_c(p, z)
-            df = _poly_eval_c(dp, z)  # dp indexed from x^0
-            if df == 0:
-                break
-            step = f / df
-            z -= step
-            if abs(step) < 1e-16 * max(1.0, abs(z)):
-                break
-        roots[i] = z
-    return roots
+def _bisect(g: Sequence[int], lo: int, hi: int, sign: int) -> int:
+    """The first y in [lo, hi] with sign * g(y) >= 0 (else hi)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if sign * _value(g, mid) < 0 else (lo, mid)
+    return lo
+
+
+def _monotone_pieces(g: Sequence[int], m: int) -> list[tuple]:
+    """(lo, hi, sign of the slope) for the pieces of [-m, m] on which the
+    monic integer quadratic or cubic g is monotone, cut at floors of g' = 0."""
+    if len(g) == 3:
+        return [(-m, -g[1] // 2, -1), (-g[1] // 2 + 1, m, 1)]
+    c, b = g[1], g[2]
+    disc = b * b - 3 * c
+    if disc <= 0:
+        return [(-m, m, 1)]
+    s = math.isqrt(disc)  # floor(x / 3) = floor(x) // 3 for real x
+    k1, k2 = (-b - s - (s * s != disc)) // 3, (s - b) // 3
+    return [(-m, k1, 1), (k1 + 1, k2, -1), (k2 + 1, m, 1)]
+
+
+def _rounded_roots(p: Sequence, count: int, positive=False) -> list:
+    """The `count` real roots, ascending and correctly rounded, of the
+    squarefree monic rational quadratic or cubic p, or with `positive` the
+    one positive root of a p of any degree.
+
+    At the scale s = L 2^k (L clears p's denominators) g(y) = s^n p(y/s) has
+    integer coefficients; on each piece where g changes sign, bisection finds
+    the y with its root r in ((y-1)/s, y/s].  Cauchy's bound on 1/r makes
+    |r| 2^k > 2^55, so every float midpoint near r is a multiple of 1/s and
+    r rounds as (y - 1/2)/s does, unless r = y/s.  The scale doubles while a
+    root hides in the unit gap at a cut."""
+    n = len(p) - 1
+    lcm = math.lcm(*(a.denominator for a in p))
+    k = 56 + int(max(map(abs, p[1:])) / abs(p[0])).bit_length()
+    bound = 2 + int(max(map(abs, p)))  # every root is smaller
+    while True:
+        s = lcm << k
+        g = [int(a * s ** (n - j)) for j, a in enumerate(p)]
+        pieces = ([(0, bound * s, 1)] if positive
+                  else _monotone_pieces(g, bound * s))
+        ys = [_bisect(g, lo, hi, sign) for lo, hi, sign in pieces
+              if sign * _value(g, lo - 1) < 0 <= sign * _value(g, hi)]
+        if len(ys) == count:
+            return [(2 * y - (_value(g, y) != 0)) / (2 * s) for y in ys]
+        k *= 2
+
+
+def _float_roots(p: tuple) -> list[complex]:
+    """The roots of the squarefree monic quadratic or cubic p, each part
+    correctly rounded: the real ones ascending, then the pair u -+ iv.
+
+    For x^3 + b x^2 + c x + d with one real root r, u = -(b + r)/2 is the
+    real root of p(-2x - b)/-8, and -4v^2 = (r2 - r3)^2 makes v the positive
+    root of x^6 - 3q/2 x^4 + 9q^2/16 x^2 + disc/64, q = c - b^2/3."""
+    disc = _discriminant(p)
+    if not disc:
+        raise ScalarError(f"the minimal polynomial {p} has a repeated root")
+    if disc > 0:
+        return [complex(x) for x in _rounded_roots(p, len(p) - 1)]
+    if len(p) == 3:
+        reals, u = [], float(-p[1] / 2)
+        v, = _rounded_roots((disc / 4, 0, 1), 1, True)
+    else:
+        d, c, b = p[0], p[1], p[2]
+        reals = _rounded_roots(p, 1)
+        u, = _rounded_roots(((b * c - d) / 8, (b * b + c) / 4, b, 1), 1)
+        q = c - b * b / 3
+        v, = _rounded_roots((disc / 64, 0, 9 * q * q / 16, 0, -3 * q / 2, 0,
+                             1), 1, True)
+    return [complex(x) for x in reals] + [complex(u, -v), complex(u, v)]
 
 
 # The float roots of each minimal polynomial, recomputed on demand; the dict
@@ -160,7 +191,8 @@ _CTX_ROOTS: dict[tuple, list[complex]] = {}
 
 @dataclass(frozen=True)
 class AlgebraicContext:
-    """A single algebraic generator theta: monic rational minpoly + root index."""
+    """A single algebraic generator theta: monic rational minpoly + root index,
+    as `_float_roots` orders them; the discriminant's sign decides reality."""
 
     minpoly: tuple  # ascending Fractions, leading coefficient 1, degree 2 or 3
     root_index: int
@@ -173,31 +205,20 @@ class AlgebraicContext:
         key = self.minpoly
         got = _CTX_ROOTS.get(key)
         if got is None:
-            got = _poly_roots_numeric(self.minpoly)
-            # real roots ascending, then the conjugate pair by imaginary part
-            # alone: the pair's float real parts may differ in the last bit
-            got.sort(key=lambda z: (1, z.imag) if abs(z.imag) >= 1e-9
-                     else (0, z.real))
-            got = [complex(z.real, 0.0) if abs(z.imag) < 1e-9 else z for z in got]
+            got = _float_roots(key)
             if len(_CTX_ROOTS) >= _CTX_CACHE_MAX:
                 del _CTX_ROOTS[next(iter(_CTX_ROOTS))]
             _CTX_ROOTS[key] = got
         return got
 
-    def root_value(self) -> complex:
-        return self.roots()[self.root_index]
-
     def root_is_real(self) -> bool:
-        if self.degree == 2:
-            # only sqrt(m) contexts are constructed, m > 1
-            return True
-        disc = _cubic_discriminant(self.minpoly)
-        n_real = 3 if disc > 0 else 1
+        n_real = self.degree - 2 * (_discriminant(self.minpoly) < 0)
         return self.root_index < n_real
 
     def conjugate_index(self) -> int:
-        # a context is real, or a cubic whose complex roots are 1 and 2
-        return self.root_index if self.root_is_real() else 3 - self.root_index
+        # the complex roots, if any, are the last two
+        i = self.root_index
+        return i if self.root_is_real() else 2 * self.degree - 3 - i
 
 
 class Scalar:
@@ -230,9 +251,7 @@ class Scalar:
 
     @staticmethod
     def of(value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        return Scalar(_fr(value))
+        return value if isinstance(value, Scalar) else Scalar(value)
 
     @staticmethod
     def sqrt_rational(q) -> "Scalar":
@@ -242,7 +261,7 @@ class Scalar:
             return Scalar(0)
         num, den = abs(q.numerator), q.denominator
         s, m = squarefree_split(num * den)
-        rat = _gq(Fraction(s, den)) if q > 0 else _gq(0, Fraction(s, den))
+        rat = (Fraction(s, den), _F0) if q > 0 else (_F0, Fraction(s, den))
         if m == 1:
             return Scalar(*rat)
         ctx = AlgebraicContext((Fraction(-m), _F0, Fraction(1)), 1)  # +sqrt(m)
@@ -257,7 +276,7 @@ class Scalar:
         if root_index not in (0, 1, 2):
             raise ScalarError(f"a cubic has roots 0, 1 and 2, not {root_index}")
         ctx = AlgebraicContext(poly, root_index)
-        return Scalar._make((_ZERO_GQ, _ONE_GQ, _ZERO_GQ), ctx)
+        return Scalar._make((_ZERO_GQ, (Fraction(1), _F0), _ZERO_GQ), ctx)
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -282,11 +301,8 @@ class Scalar:
         return self._c[0][0]
 
     def is_nonnegative_integer(self) -> bool:
-        return (
-            self.is_rational()
-            and self._c[0][0].denominator == 1
-            and self._c[0][0] >= 0
-        )
+        q = self._c[0][0]
+        return self.is_rational() and q.denominator == 1 and q >= 0
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -295,7 +311,7 @@ class Scalar:
         if self._ctx is None:
             re, im = self._c[0]
             return complex(re, im)
-        theta = self._ctx.root_value()
+        theta = self._ctx.roots()[self._ctx.root_index]
         acc = 0j
         for k, (re, im) in enumerate(self._c):
             acc += complex(re, im) * theta ** k
@@ -455,7 +471,8 @@ class Scalar:
             re, im = self._c[0]
             if im is _F0 or not im:
                 return _rational(1 / re)
-            return Scalar._make((_gq_inv(self._c[0]),), None)
+            n = re * re + im * im
+            return Scalar._make(((re / n, -im / n),), None)
         # Cayley-Hamilton over Q(i): Newton's identities turn the traces
         # p_k = tr(self^k) into the characteristic coefficients e_k, and
         # sum_k (-1)^k e_k self^(d-k) = 0 solves for the inverse.  e_d is the
@@ -581,37 +598,6 @@ def _rational_order(q: Fraction):
     return (q.denominator, abs(q.numerator), q < 0)
 
 
-def _integer_roots_of_cubic(b: int, c: int, d: int) -> set[int]:
-    """Integer roots of y^3 + b y^2 + c y + d, in O(log m) steps.
-
-    Every root lies in [-m, m], m = 1 + max(|b|, |c|, |d|).  The floors k1,
-    k2 of the critical points (-b -+ sqrt(b^2 - 3c))/3 cut it into pieces
-    on which the cubic is strictly monotone, so bisection finds the one
-    root each piece can hold.
-    """
-    def g(y):
-        return ((y + b) * y + c) * y + d
-
-    m = 1 + max(abs(b), abs(c), abs(d))
-    pieces = [(-m, m, 1)]
-    disc = b * b - 3 * c
-    if disc > 0:
-        s = math.isqrt(disc)  # floor(x / 3) = floor(x) // 3 for real x
-        k1, k2 = (-b - s - (s * s != disc)) // 3, (s - b) // 3
-        pieces = [(-m, k1, 1), (k1 + 1, k2, -1), (k2 + 1, m, 1)]
-    found = set()
-    for lo, hi, sign in pieces:
-        while lo < hi:  # the first y in [lo, hi] with sign * g(y) >= 0
-            mid = (lo + hi) // 2
-            if sign * g(mid) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if g(lo) == 0:
-            found.add(lo)
-    return found
-
-
 def roots_of_monic(poly: Sequence) -> list[Scalar]:
     """Exact roots of a monic rational polynomial of degree 1..3, as Scalars.
 
@@ -636,12 +622,15 @@ def roots_of_monic(poly: Sequence) -> list[Scalar]:
         half = Fraction(1, 2)
         return [(Scalar(-b) + root) * half, (Scalar(-b) - root) * half]
     if deg == 3:
-        d, c, b = coeffs[0], coeffs[1], coeffs[2]
-        # x = y / s makes the cubic a monic integer one in y
-        s = math.lcm(b.denominator, c.denominator, d.denominator)
-        ys = _integer_roots_of_cubic(int(b * s), int(c * s * s),
-                                     int(d * s * s * s))
+        # x = y / s makes the cubic a monic integer one, g, in y; its
+        # integer roots lie in [-m, m], one at most on each monotone piece
+        s = math.lcm(*(a.denominator for a in coeffs))
+        g = [int(a * s ** (3 - j)) for j, a in enumerate(coeffs)]
+        m = 1 + max(map(abs, g))
+        ys = {y for lo, hi, sign in _monotone_pieces(g, m)
+              if _value(g, y := _bisect(g, lo, hi, sign)) == 0}
         if ys:
+            c, b = coeffs[1], coeffs[2]
             r0 = min((Fraction(y, s) for y in ys), key=_rational_order)
             b = b + r0
             return [Scalar(r0)] + roots_of_monic([c + r0 * b, b, Fraction(1)])

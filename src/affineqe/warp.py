@@ -103,24 +103,28 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
                             g_at[a][b] if float_lam else -1)
                            for a in range(4) for b in range(4))
                if max(e) >= 0]
-    for p in points:
-        pv = warp_fn.eval(p)
-        if abs(pv.imag) > 1e-12 or pv.real <= 0:
-            raise DomainError(f"warp function must be positive at probe {p}")
-        pv = pv.real
-        values = [f.eval(p) for f in functions] + [0j]
-        for rho_i, hphi_i, g_i in entries:
-            val = values[rho_i] - spec.r / pv * values[hphi_i]
-            if float_lam:
-                val = val - float_lam * values[g_i]
-            worst = max(worst, abs(val))
-        mu_e = (pv * lap.eval(p) + (spec.r - 1) * grad_sq.eval(p)
-                + float_lam * pv ** 2)
-        mu_e_values.append(mu_e)
+    try:
+        for p in points:
+            pv = warp_fn.eval(p)
+            if abs(pv.imag) > 1e-12 or pv.real <= 0:
+                raise DomainError(
+                    f"warp function must be positive at probe {p}")
+            pv = pv.real
+            values = [f.eval(p) for f in functions] + [0j]
+            for rho_i, hphi_i, g_i in entries:
+                val = values[rho_i] - spec.r / pv * values[hphi_i]
+                if float_lam:
+                    val = val - float_lam * values[g_i]
+                worst = max(worst, abs(val))
+            mu_e = (pv * lap.eval(p) + (spec.r - 1) * grad_sq.eval(p)
+                    + float_lam * pv ** 2)
+            mu_e_values.append(mu_e)
+        mean = sum(mu_e_values) / len(mu_e_values)
+        std = math.sqrt(sum(abs(v - mean) ** 2
+                            for v in mu_e_values) / len(mu_e_values))
+    except OverflowError:
+        raise DomainError("warp function out of float range") from None
     report.add("base_condition_numeric", worst, 1e-10)
-    mean = sum(mu_e_values) / len(mu_e_values)
-    std = math.sqrt(sum(abs(v - mean) ** 2
-                        for v in mu_e_values) / len(mu_e_values))
     report.add("fiber_constant_std", std, 1e-6)
     report.metadata["mu_E"] = fmt_float(mean.real)
     report.metadata["mu_E_imag_max"] = max(abs(v.imag) for v in mu_e_values)

@@ -220,10 +220,11 @@ def test_determinism(tmp_path, hyperbolic_path):
 # commands on a seeded draw of 4 Type A and 4 Type B connections (each
 # coefficient 0 with probability 1/2, else k/d with k in [-2, 2] and d in
 # {1, 2}): a refactor that changes any byte of these reports fails here.
+# Pinned with the roots of each minimal polynomial correctly rounded.
 GEOMETRY_CALLS = (("extend",), ("verify", "--mu=-1"), ("verify", "--mu=1/2"),
                   ("warp", "--mu=2"), ("warp", "--mu=1"))
 GEOMETRY_OUTPUTS_SHA256 = (
-    "3f750565b9e62125603cb087a2330f79e0e2cf43fd511118e16f2911d2418674")
+    "0c359af3d84c57a5381e581861dce396e6ef6e8612231e080a23f72682ace9a1")
 
 
 def test_geometry_outputs_pinned(capsys, tmp_path, monkeypatch):
@@ -500,6 +501,59 @@ def test_unsupported_input_exit_3(capsys, tmp_path):
     assert out == ""
     assert err == ("error: unsupported input: flat solver needs rational "
                    "coefficients\n")
+
+
+@pytest.mark.parametrize("index", [None, "0", "1", "2"])
+def test_overflow_at_the_probes_exits_2(capsys, tmp_path, monkeypatch, index):
+    # e^(1000 x) and its square leave the float range at the probes
+    monkeypatch.delenv("QE_SEED", raising=False)
+    p = tmp_path / "steep.json"
+    p.write_text('{"kind": "A", "coeffs": {"111": "1", "121": "1000", '
+                 '"222": "3"}}')
+    picked = ("--f-index", index) if index else ()
+    code, out, err = run_cli(capsys, "verify", "--mu", "-1", "--input",
+                             str(p), *picked)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# the checks that compare floats at the probes with an absolute tolerance
+FLOAT_CHECKS = {"quasi_einstein_numeric", "weyl_half", "conformally_einstein",
+                "base_condition_numeric", "fiber_constant_std"}
+
+
+def test_large_coefficients_exit_cleanly(capsys, tmp_path, monkeypatch):
+    """Seeded Type A and B connections with integer coefficients up to
+    +-10^4 through extend, verify --mu -1 and warp --mu 2, in this process:
+    no exception escapes, and exits 2 and 3 print one stderr line.  An exit
+    1 fails only float checks: their absolute tolerances sit below the
+    rounding error of values this large, while every exact check passes."""
+    monkeypatch.delenv("QE_SEED", raising=False)
+    rng = random.Random(20261019)
+    path = tmp_path / "large.json"
+    calls = (("extend",), ("verify", "--mu=-1"), ("warp", "--mu=2"))
+    codes = collections.Counter()
+    for _ in range(200):
+        path.write_text(json.dumps({"kind": rng.choice("AB"), "coeffs": {
+            key: str(rng.randint(-10 ** 4, 10 ** 4)) if rng.random() < 0.5
+            else "0" for key in ("111", "112", "121", "122", "221", "222")}}))
+        for call in calls:
+            try:
+                code, out, err = run_cli(capsys, call[0], "--input",
+                                         str(path), *call[1:])
+            except Exception as exc:
+                pytest.fail(f"{path.read_text()} {call} raised {exc!r}")
+            assert code in (0, 1, 2, 3)
+            if code >= 2:
+                assert err.startswith("error: ") and len(err.splitlines()) == 1
+            if code == 1:
+                failed = {c["name"] for c in json.loads(out)["checks"]
+                          if not c["pass"]}
+                assert failed <= FLOAT_CHECKS, (path.read_text(), failed)
+            codes[call[0], code] += 1
+    assert codes["verify", 0] >= 10 and codes["warp", 0] >= 10, codes
+    assert codes["verify", 2] >= 100 and codes["warp", 2] >= 100, codes
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

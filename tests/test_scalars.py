@@ -9,7 +9,7 @@ import pytest
 from affineqe import scalars
 from affineqe.funcalg import scalar_to_json
 from affineqe.scalars import (
-    ZERO, Scalar, ScalarError, _gq, _gq_add, _gq_inv, _gq_mul, _gq_neg,
+    ZERO, AlgebraicContext, Scalar, ScalarError, _gq_add, _gq_mul, _gq_neg,
     roots_of_monic, squarefree_split,
 )
 
@@ -117,25 +117,23 @@ def test_quadratic_roots():
 
 
 def test_cubic_field():
-    # x^3 - 2x^2 - 1 is irreducible over Q
+    # x^3 - 2x^2 - 1 is irreducible over Q, with one real root
     roots = roots_of_monic([Fraction(-1), Fraction(0), Fraction(-2), Fraction(1)])
     assert len(roots) == 3
-    s = Scalar(0)
-    p = Scalar(1)
     for r in roots:
         assert (r ** 3 - 2 * r ** 2 - 1).is_zero()
-        p = p * r if r.context == roots[0].context else p
     assert (roots[0] + Scalar(0)).context is not None
     # arithmetic within one root's field
     t = roots[0]
     inv = t.inverse()
     assert t * inv == Scalar(1)
     assert (t ** 2 - 2 * t) * t == t ** 3 - 2 * t ** 2
-    # complex pair are conjugates of each other
-    complex_roots = [r for r in roots if not r.context.root_is_real() or abs(r.to_complex().imag) > 1e-9]
-    if len(complex_roots) == 2:
-        a, b = complex_roots
-        assert a.conjugate() == b
+    # the real root first, then the conjugate pair, Im < 0 first
+    assert [r.is_real() for r in roots] == [True, False, False]
+    assert roots[1].conjugate() == roots[2]
+    values = [r.to_complex() for r in roots]
+    assert values[0].imag == 0.0 and values[1].imag < 0 < values[2].imag
+    assert values[1] == values[2].conjugate()
 
 
 def test_reducible_cubic():
@@ -195,7 +193,7 @@ def _field_elements():
         poly = [Fraction(rng.randint(-12, 12), rng.randint(1, 4))
                 for _ in range(3)] + [Fraction(1)]
         roots = roots_of_monic(poly)
-        three_real = scalars._cubic_discriminant(poly) > 0
+        three_real = scalars._discriminant(poly) > 0
         if roots[0].is_rational() or cubics[three_real] == 6:
             continue
         cubics[three_real] += 1
@@ -225,15 +223,158 @@ def test_closed_form_field_arithmetic():
 
 
 def test_complex_cubic_roots_have_positive_imaginary_part_second():
-    # the float real parts of this conjugate pair differ in the last bit
+    # the pair shares one rounded real part, so only the sign of the
+    # imaginary part orders it
     poly = (Fraction(-59, 4), 1, -13, 1)
     theta = [Scalar.algebraic(poly, k) for k in range(3)]
     roots = theta[0].context.roots()
     assert roots[0].imag == 0 and roots[1].imag < 0 < roots[2].imag
+    assert roots[1] == roots[2].conjugate()
     assert theta[1].to_complex().imag < 0 < theta[2].to_complex().imag
     assert theta[1].conjugate() == theta[2]
     assert theta[2].conjugate() == theta[1]
     assert theta[0].conjugate() == theta[0]
+
+
+def _poly(p, x):
+    return sum(a * x ** j for j, a in enumerate(p))
+
+
+def _bisect_root(p, lo, hi, bits=400):
+    """The root of p in [lo, hi], where p changes sign, to 2^-bits."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    sign = _poly(p, hi) > 0
+    while hi - lo > Fraction(1, 2 ** bits):
+        mid = (lo + hi) / 2
+        if (_poly(p, mid) > 0) == sign:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _sqrt(q, bits=400):
+    return Fraction(math.isqrt(q.numerator * 4 ** bits // q.denominator),
+                    2 ** bits)
+
+
+def _changes_sign_around(p, x):
+    """p changes sign strictly between the midpoints from the float x to
+    its two neighbours, the reals that round to x."""
+    below, above = (Fraction(x) + Fraction(math.nextafter(x, t)) for t in
+                    (-math.inf, math.inf))
+    return _poly(p, below / 2) * _poly(p, above / 2) < 0
+
+
+def _near_double_root_cubic(c, delta):
+    """x^3 - c x^2 - 2x + 2c + delta: (x - c)(x^2 - 2) moved by delta."""
+    return (2 * c + delta, Fraction(-2), -c, Fraction(1))
+
+
+def test_near_double_root_cubic_with_three_real_roots():
+    # the discriminant is > 0: three real roots, two of them 2.4e-9 apart
+    p = _near_double_root_cubic(Fraction("1.41421356"), Fraction(1, 10 ** 20))
+    assert scalars._discriminant(p) > 0
+    theta = [Scalar.algebraic(p, k) for k in range(3)]
+    values = [t.to_complex() for t in theta]
+    assert all(t.is_real() for t in theta)
+    assert [z.imag for z in values] == [0.0, 0.0, 0.0]
+    brackets = ((-2, -1), (1, Fraction("1.414213561")),
+                (Fraction("1.414213561"), 2))
+    assert [z.real for z in values] == [
+        float(_bisect_root(p, lo, hi)) for lo, hi in brackets]
+    assert values[0].real < values[1].real < values[2].real
+
+
+def test_near_double_root_cubic_with_a_complex_pair():
+    # the discriminant is < 0: roots 1 and 2 are a conjugate pair whose
+    # imaginary parts are only about 3.57e-14
+    c, delta = Fraction("1.414213562373"), Fraction(1, 10 ** 26)
+    p = _near_double_root_cubic(c, delta)
+    assert scalars._discriminant(p) < 0
+    theta = [Scalar.algebraic(p, k) for k in range(3)]
+    assert [t.is_real() for t in theta] == [True, False, False]
+    # the pair u +- iv from the real root r: u = -(b + r)/2 and
+    # v^2 = c + r(b + r) - u^2 for p = x^3 + b x^2 + c x + d
+    r = _bisect_root(p, -2, -1)
+    u = (c - r) / 2
+    v = _sqrt(p[1] + r * (r - c) - u * u)
+    values = [t.to_complex() for t in theta]
+    assert values == [complex(float(r), 0.0), complex(float(u), -float(v)),
+                      complex(float(u), float(v))]
+    assert 3.5734e-14 < float(v) < 3.5736e-14
+
+
+def test_square_roots_are_correctly_rounded():
+    for m in range(2, 5000):
+        if math.isqrt(m) ** 2 != m:
+            ctx = AlgebraicContext((Fraction(-m), Fraction(0), Fraction(1)), 1)
+            assert ctx.roots() == [-math.sqrt(m), math.sqrt(m)], m
+
+
+def test_cubic_roots_are_correctly_rounded():
+    """Seeded irreducible cubics with coefficients k/d, |k| <= 60, d <= 12:
+    each real root, and the real part of each pair, is the float nearest
+    the exact value, and the discriminant's sign fixes the real count."""
+    rng = random.Random(118981)
+    counts = {1: 0, 3: 0}
+    t0 = time.perf_counter()
+    while min(counts.values()) < 400:
+        d, c, b = (Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                   for _ in range(3))
+        p = (d, c, b, Fraction(1))
+        if roots_of_monic(p)[0].is_rational():
+            continue
+        values = AlgebraicContext(p, 0).roots()
+        n_real = 3 if scalars._discriminant(p) > 0 else 1
+        counts[n_real] += 1
+        reals = [z.real for z in values[:n_real]]
+        assert [z.imag for z in values[:n_real]] == [0.0] * n_real
+        assert reals == sorted(set(reals)), p
+        assert all(_changes_sign_around(p, x) for x in reals), p
+        if n_real == 1:
+            low, high = values[1:]
+            assert low.imag < 0 < high.imag and low == high.conjugate(), p
+            # u is the root of p(-2x - b), x = -(b + r)/2 for the real root r
+            p_u = [(b * c - d) / 8, (b * b + c) / 4, b, 1]
+            assert _changes_sign_around(p_u, low.real), p
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_quadratic_contexts_decide_reality_by_the_discriminant():
+    # x^2 + x + 1 has no real root; x^2 - 2 and x^2 - x - 1 have two
+    for poly, real in (((1, 1, 1), False), ((-2, 0, 1), True),
+                       ((-1, -1, 1), True), ((1, 0, 1), False)):
+        ctxs = [AlgebraicContext(tuple(map(Fraction, poly)), k)
+                for k in (0, 1)]
+        assert [c.root_is_real() for c in ctxs] == [real, real]
+        assert [c.conjugate_index() for c in ctxs] == ([0, 1] if real
+                                                       else [1, 0])
+        values = ctxs[0].roots()
+        assert (values[0].imag == values[1].imag == 0.0) is real
+        if not real:
+            assert values[0].imag < 0 < values[1].imag
+            assert values[0] == values[1].conjugate()
+
+
+def test_roots_beyond_float_range_raise_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(OverflowError):
+        AlgebraicContext((Fraction(-10 ** 700), Fraction(0), Fraction(1)),
+                         1).roots()
+    with pytest.raises(OverflowError):
+        AlgebraicContext((Fraction(-10 ** 999), Fraction(10 ** 600),
+                          Fraction(0), Fraction(1)), 0).roots()
+    # a tiny root rounds, to 0.0 below the least subnormal
+    tiny = AlgebraicContext((Fraction(-1, 10 ** 700), Fraction(0),
+                             Fraction(1)), 1).roots()
+    assert tiny == [-0.0, 0.0]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_repeated_root_raises():
+    with pytest.raises(ScalarError):
+        AlgebraicContext((Fraction(1), Fraction(-2), Fraction(1)), 0).roots()
 
 
 _CUBIC = Scalar.algebraic([-2, 0, 0, 1], 0)   # the real cube root of 2
@@ -286,6 +427,16 @@ def _assert_same_scalar(got, want):
     assert got.sort_key() == want.sort_key()
     assert repr(got) == repr(want)
     assert scalar_to_json(got) == scalar_to_json(want)
+
+
+def _gq(re, im=0):
+    return (Fraction(re), Fraction(im))
+
+
+def _gq_inv(a):
+    """The Gaussian rational 1/a, by the conjugate over the norm."""
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
 
 
 def test_rational_fast_paths_match_general_path():
