@@ -710,20 +710,29 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
 # ---------------------------------------------------------------------------
 
 def realize_real_basis(desc) -> list[AnsatzFunction]:
-    """Real basis of the same real dimension (conjugate pairs -> Re, Im)."""
+    """Real basis of the same real dimension, for a basis (independent
+    elements): a real f stays, and f with its conjugate in the basis gives
+    Re f and Im f at the first of the two.  A basis not closed under
+    conjugation keeps the first independent of the Re and Im of each
+    element instead."""
     basis = list(desc.basis) if isinstance(desc, EigenspaceDescription) else list(desc)
     if not basis:
         return []
     half = Scalar(Fraction(1, 2))
     neg_half_i = Scalar(0, Fraction(-1, 2))
-    candidates = []
-    for f in basis:
-        fc = f.conjugate()
+    pairs = [(f, f.conjugate()) for f in basis]
+    members = set(basis)
+    closed = all(fc in members for _, fc in pairs)
+    candidates, later = [], set()
+    for f, fc in pairs:
         if fc == f:
             candidates.append(f)
-        else:
+        elif f not in later:
+            later.add(fc)
             candidates.append((f + fc).scale(half))
             candidates.append((f - fc).scale(neg_half_i))
+    if closed:
+        return candidates
     rank, picked = rank_basis([c for c in candidates if not c.is_zero()])
     if rank < len(basis):
         raise SolverError("real realization lost dimension")

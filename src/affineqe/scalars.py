@@ -23,6 +23,7 @@ _GQ = tuple  # (Fraction re, Fraction im)
 _F0 = Fraction(0)
 _new = object.__new__
 _ZERO_GQ = (_F0, _F0)
+_THETA = (_ZERO_GQ, (Fraction(1), _F0), _ZERO_GQ)  # a cubic's generator
 
 
 class ScalarError(ArithmeticError):
@@ -37,20 +38,33 @@ def _fr(x) -> Fraction:
     raise ScalarError(f"expected an exact rational, got {x!r}")
 
 
+# The Q(i) operations below do a `Fraction` operation only on nonzero
+# parts, so a real times a real is one `Fraction` product.  A part that no
+# term reaches is `_F0` itself, which `_gq_mul` tests by identity first.
 def _gq_add(a: _GQ, b: _GQ) -> _GQ:
-    return (a[0] + b[0], a[1] + b[1])
+    (ar, ai), (br, bi) = a, b
+    return ((ar + br if br else ar) if ar else br or _F0,
+            (ai + bi if bi else ai) if ai else bi or _F0)
+
+
+def _gq_sub(a: _GQ, b: _GQ) -> _GQ:
+    return (a[0] - b[0] if b[0] else a[0], a[1] - b[1] if b[1] else a[1])
 
 
 def _gq_mul(a: _GQ, b: _GQ) -> _GQ:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    (ar, ai), (br, bi) = a, b
+    if ai is bi is _F0 or not (ai or bi):  # real times real
+        return (ar * br, _F0)
+    if not (ai and bi):  # no i * i term
+        return (ar * br if ar and br else _F0,
+                ar * bi if ar and bi else ai * br if ai and br else _F0)
+    if not (ar and br):  # no real * real term
+        return (-(ai * bi), ar * bi if ar else ai * br if br else _F0)
+    return (ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _gq_neg(a: _GQ) -> _GQ:
-    return (-a[0], -a[1])
-
-
-def _gq_is_zero(a: _GQ) -> bool:
-    return not (a[0] or a[1])
+    return (-a[0] if a[0] else _F0, -a[1] if a[1] else _F0)
 
 
 _TRIAL_DIVISORS = 10 ** 6
@@ -236,10 +250,9 @@ class Scalar:
     @staticmethod
     def _make(coeffs: Sequence[_GQ], ctx: AlgebraicContext | None) -> "Scalar":
         if ctx is not None:
-            coeffs = list(coeffs[: ctx.degree])
-            while len(coeffs) < ctx.degree:
-                coeffs.append(_ZERO_GQ)
-            if all(_gq_is_zero(c) for c in coeffs[1:]):
+            coeffs = (list(coeffs[: ctx.degree])
+                      + [_ZERO_GQ] * (ctx.degree - len(coeffs)))
+            if not any(re or im for re, im in coeffs[1:]):
                 ctx = None
                 coeffs = coeffs[:1]
         s = _new(Scalar)
@@ -275,8 +288,9 @@ class Scalar:
             raise ScalarError("algebraic() expects a monic cubic (4 ascending coeffs)")
         if root_index not in (0, 1, 2):
             raise ScalarError(f"a cubic has roots 0, 1 and 2, not {root_index}")
-        ctx = AlgebraicContext(poly, root_index)
-        return Scalar._make((_ZERO_GQ, (Fraction(1), _F0), _ZERO_GQ), ctx)
+        if _rational_roots(poly):
+            raise ScalarError(f"the cubic {list(map(str, poly))} has a rational root")
+        return _in_field(_THETA, AlgebraicContext(poly, root_index))
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -365,20 +379,17 @@ class Scalar:
         if self._ctx is None:
             return other._shifted(self)
         ctx = Scalar._join(self, other)
-        return Scalar._make([(xr + yr, xi + yi) for (xr, xi), (yr, yi)
-                             in zip(self._c, other._c)], ctx)
+        return Scalar._make(list(map(_gq_add, self._c, other._c)), ctx)
 
     __radd__ = __add__
 
     def _shifted(self, s: "Scalar") -> "Scalar":
         """self + s for a field element self and a context-free s: only the
         constant coefficient moves."""
-        (sr, si), = s._c
-        if not (sr or si):
+        if s.is_zero():
             return self
-        (cr, ci), *rest = self._c
-        c0 = (cr + sr, ci) if si is _F0 or not si else (cr + sr, ci + si)
-        return _in_field((c0, *rest), self._ctx)
+        return _in_field((_gq_add(self._c[0], s._c[0]), *self._c[1:]),
+                         self._ctx)
 
     def __neg__(self):
         if self._ctx is None:
@@ -400,8 +411,7 @@ class Scalar:
                 return _rational(ar - br)
         elif self._ctx is not None and other._ctx is not None:
             ctx = Scalar._join(self, other)
-            return Scalar._make([(xr - yr, xi - yi) for (xr, xi), (yr, yi)
-                                 in zip(self._c, other._c)], ctx)
+            return Scalar._make(list(map(_gq_sub, self._c, other._c)), ctx)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -429,10 +439,10 @@ class Scalar:
         d = ctx.degree
         conv = [_ZERO_GQ] * (2 * d - 1)
         for i, x in enumerate(a):
-            if _gq_is_zero(x):
+            if not (x[0] or x[1]):
                 continue
             for j, y in enumerate(b):
-                if _gq_is_zero(y):
+                if not (y[0] or y[1]):
                     continue
                 conv[i + j] = _gq_add(conv[i + j], _gq_mul(x, y))
         # theta^d = -sum_j m_j theta^j: fold the top coefficients down in
@@ -444,25 +454,20 @@ class Scalar:
                 for j in range(d):
                     if m[j]:
                         xr, xi = conv[k - d + j]
-                        conv[k - d + j] = (xr - cr * m[j], xi - ci * m[j])
+                        conv[k - d + j] = (xr - cr * m[j] if cr else xr,
+                                           xi - ci * m[j] if ci else xi)
         return Scalar._make(conv[:d], ctx)
 
     __rmul__ = __mul__
 
     def _scaled(self, s: "Scalar") -> "Scalar":
-        """self * s for a field element self and a context-free s: each
-        nonzero coefficient is scaled, by one `Fraction` product per nonzero
-        part when s is real."""
-        (sr, si), = s._c
-        if si is _F0 or not si:
-            if not sr:
-                return ZERO
-            coeffs = tuple([(xr * sr if xr else xr, xi * sr if xi else xi)
-                            for xr, xi in self._c])
-        else:
-            coeffs = tuple([_gq_mul(s._c[0], x) if x[0] or x[1] else x
-                            for x in self._c])
-        return _in_field(coeffs, self._ctx)
+        """self * s for a field element self and a context-free s: one
+        `Fraction` product per nonzero part of self when s is real."""
+        if s.is_zero():
+            return ZERO
+        y = s._c[0]
+        return _in_field(tuple([_gq_mul(x, y) if x[0] or x[1] else x
+                                for x in self._c]), self._ctx)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -483,8 +488,8 @@ class Scalar:
         powers = [Scalar(1), self]
         while len(powers) <= d:
             powers.append(powers[-1] * self)
-        p = [Scalar(*(sum(c[n] * t for c, t in zip(x._lift(ctx), traces))
-                      for n in (0, 1))) for x in powers]
+        p = [Scalar(*(sum(c[n] * t for c, t in zip(x._lift(ctx), traces)
+                          if c[n] and t) for n in (0, 1))) for x in powers]
         e = [Scalar(1)]
         for k in range(1, d + 1):
             e.append(sum((e[k - i] * p[i] * (-1) ** (i - 1)
@@ -622,17 +627,22 @@ def roots_of_monic(poly: Sequence) -> list[Scalar]:
         half = Fraction(1, 2)
         return [(Scalar(-b) + root) * half, (Scalar(-b) - root) * half]
     if deg == 3:
-        # x = y / s makes the cubic a monic integer one, g, in y; its
-        # integer roots lie in [-m, m], one at most on each monotone piece
-        s = math.lcm(*(a.denominator for a in coeffs))
-        g = [int(a * s ** (3 - j)) for j, a in enumerate(coeffs)]
-        m = 1 + max(map(abs, g))
-        ys = {y for lo, hi, sign in _monotone_pieces(g, m)
-              if _value(g, y := _bisect(g, lo, hi, sign)) == 0}
-        if ys:
+        rational = _rational_roots(coeffs)
+        if rational:
             c, b = coeffs[1], coeffs[2]
-            r0 = min((Fraction(y, s) for y in ys), key=_rational_order)
+            r0 = min(rational, key=_rational_order)
             b = b + r0
             return [Scalar(r0)] + roots_of_monic([c + r0 * b, b, Fraction(1)])
-        return [Scalar.algebraic(tuple(coeffs), k) for k in range(3)]
+        coeffs = tuple(coeffs)  # irreducible: theta needs no check
+        return [_in_field(_THETA, AlgebraicContext(coeffs, k)) for k in range(3)]
     raise ScalarError("roots_of_monic supports degree <= 3")
+
+
+def _rational_roots(p: Sequence[Fraction]) -> set[Fraction]:
+    """The rational roots of the monic rational cubic p: x = y / s makes it a
+    monic integer cubic g in y, with at most one root on each piece."""
+    s = math.lcm(*(a.denominator for a in p))
+    g = [int(a * s ** (3 - j)) for j, a in enumerate(p)]
+    m = 1 + max(map(abs, g))
+    return {Fraction(y, s) for lo, hi, sign in _monotone_pieces(g, m)
+            if _value(g, y := _bisect(g, lo, hi, sign)) == 0}

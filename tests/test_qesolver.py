@@ -325,6 +325,50 @@ def test_realize_real_basis():
     assert realize_real_basis([]) == []
 
 
+def _realize_by_rank_search(basis):
+    """Re and Im of every non-real element, then the first independent ones:
+    the general construction, for any basis."""
+    half, neg_half_i = Scalar(Fraction(1, 2)), Scalar(0, Fraction(-1, 2))
+    candidates = []
+    for f in basis:
+        fc = f.conjugate()
+        if fc == f:
+            candidates.append(f)
+        else:
+            candidates += [(f + fc).scale(half), (f - fc).scale(neg_half_i)]
+    rank, picked = rank_basis([c for c in candidates if not c.is_zero()])
+    assert rank >= len(basis)
+    return picked[: len(basis)]
+
+
+def test_realize_real_basis_pairs_by_conjugation_and_searches_otherwise():
+    # e^{(1+i) x2} and its conjugate, e^{x1} x2, and e^{2i x1} without its
+    # conjugate
+    f = exp_linear(0, Scalar(1, 1))
+    real = monomial(Context.TYPE_A, exp=(1, 0), x2=1)
+    lone = exp_linear(Scalar(0, 2), 0).scale(Scalar(3, -1))
+    for basis in ([f, f.conjugate()], [f.conjugate(), real, f],
+                  [real, f, lone, f.conjugate()], [lone], [lone, real]):
+        got = realize_real_basis(basis)
+        assert [g.terms for g in got] == [
+            g.terms for g in _realize_by_rank_search(basis)]
+        assert len(got) == len(basis)
+        assert all(g.is_real() for g in got)
+        assert rank_basis(got + basis)[0] == rank_basis(
+            basis + [g.conjugate() for g in basis])[0]
+    # closed: a real element stays, a pair gives Re and Im at its first
+    # member; not closed: the lone element's Re and Im both come in
+    c = f.conjugate()
+    assert realize_real_basis([c, real, f]) == [
+        (c + f).scale(Fraction(1, 2)), (c - f).scale(Scalar(0, Fraction(-1, 2))),
+        real]
+    got = realize_real_basis([lone])
+    assert len(got) == 1 and rank_basis(got + [lone, lone.conjugate()])[0] == 2
+    # the search still refuses a list that spans less than its length
+    with pytest.raises(SolverError, match="lost dimension"):
+        realize_real_basis([real, real.scale(2), real.scale(3), lone])
+
+
 def test_nonlinear_transform_a2():
     f = exp_linear(0, 2)
     nt = nonlinear_transform(A2, -1, f)

@@ -9,9 +9,23 @@ import pytest
 from affineqe import scalars
 from affineqe.funcalg import scalar_to_json
 from affineqe.scalars import (
-    ZERO, AlgebraicContext, Scalar, ScalarError, _gq_add, _gq_mul, _gq_neg,
-    roots_of_monic, squarefree_split,
+    ZERO, AlgebraicContext, Scalar, ScalarError, roots_of_monic,
+    squarefree_split,
 )
+
+
+# The Q(i) arithmetic on (re, im) pairs of Fractions, spelled out in full:
+# the reference that the zero-aware operations of `scalars` must match.
+def _gq_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _gq_neg(a):
+    return (-a[0], -a[1])
+
+
+def _gq_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def test_squarefree_split():
@@ -161,14 +175,36 @@ def test_sort_key_and_hash():
 
 
 def test_context_caches_are_bounded():
-    # theta^3 = n + 2 in a fresh cubic field each time; the first fields are
-    # evicted and recomputed with the same results
+    # theta^3 = c in a fresh cubic field each time, c = 2, 3, ... skipping
+    # the perfect cubes (x^3 - c has a rational root there); the first
+    # fields are evicted and recomputed with the same results
+    values = [c for c in range(2, 80) if c not in (8, 27, 64)]
+    values = values[: scalars._CTX_CACHE_MAX + 10]
+    assert len(values) == scalars._CTX_CACHE_MAX + 10
     for _ in range(2):
-        for n in range(scalars._CTX_CACHE_MAX + 10):
-            theta = Scalar.algebraic([-(n + 2), 0, 0, 1], 0)
-            assert theta * theta * theta == Scalar(n + 2)
-            assert abs(theta.to_complex() - (n + 2) ** (1 / 3)) < 1e-9
+        for c in values:
+            theta = Scalar.algebraic([-c, 0, 0, 1], 0)
+            assert theta * theta * theta == Scalar(c)
+            assert abs(theta.to_complex() - c ** (1 / 3)) < 1e-9
     assert len(scalars._CTX_ROOTS) <= scalars._CTX_CACHE_MAX
+
+
+def test_algebraic_refuses_a_cubic_with_a_rational_root():
+    # x^3 - 8 = (x - 2)(x^2 + 2x + 4), x^3 - 2x = x (x^2 - 2) and
+    # (x - 1/2)(x^2 + 1): theta would not generate a cubic field
+    for poly in ([-8, 0, 0, 1], [0, -2, 0, 1],
+                 [Fraction(-1, 2), 1, Fraction(-1, 2), 1]):
+        for k in range(3):
+            with pytest.raises(ScalarError, match="rational root"):
+                Scalar.algebraic(poly, k)
+    # an irreducible cubic is taken, and roots_of_monic builds the same
+    # three generators
+    poly = [1, -2, -1, 1]
+    roots = roots_of_monic(poly)
+    for k in range(3):
+        theta = Scalar.algebraic(poly, k)
+        assert theta == roots[k] and theta.context == roots[k].context
+        assert theta * theta * theta == theta * theta + 2 * theta - 1
 
 
 def _field_elements():
@@ -488,29 +524,33 @@ def test_gaussian_and_field_operands_keep_their_values():
                 op()
 
 
+def _fraction_op_counts(monkeypatch, thunk):
+    """The result of thunk() and the Fraction operations it made."""
+    counts = {"mul": 0, "add": 0, "sub": 0, "neg": 0}
+    originals = {op: getattr(Fraction, f"__{op}__") for op in counts}
+
+    def counted(op):
+        def run(*args):
+            counts[op] += 1
+            return originals[op](*args)
+        return run
+
+    for op in counts:
+        monkeypatch.setattr(Fraction, f"__{op}__", counted(op))
+    try:
+        out = thunk()
+    finally:
+        monkeypatch.undo()
+    return out, counts
+
+
 def test_rational_ops_make_one_fraction_operation(monkeypatch):
-    counts = {"mul": 0, "add": 0}
-    mul, add = Fraction.__mul__, Fraction.__add__
-
-    def counted_mul(a, b):
-        counts["mul"] += 1
-        return mul(a, b)
-
-    def counted_add(a, b):
-        counts["add"] += 1
-        return add(a, b)
-
     a, b = Scalar(Fraction(2, 3)), Scalar(Fraction(-5, 7))
-    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
-    monkeypatch.setattr(Fraction, "__add__", counted_add)
-    product = a * b
-    after_mul = dict(counts)
-    total = a + b
-    after_add = dict(counts)
-    monkeypatch.undo()
-    # through _gq_mul: 4 multiplies, an add and a subtract
-    assert after_mul == {"mul": 1, "add": 0}
-    assert after_add == {"mul": 1, "add": 1}
+    product, mul_counts = _fraction_op_counts(monkeypatch, lambda: a * b)
+    total, add_counts = _fraction_op_counts(monkeypatch, lambda: a + b)
+    # one Fraction operation each, with no (re, im) pair in between
+    assert mul_counts == {"mul": 1, "add": 0, "sub": 0, "neg": 0}
+    assert add_counts == {"mul": 0, "add": 1, "sub": 0, "neg": 0}
     assert product == Scalar(Fraction(-10, 21))
     assert total == Scalar(Fraction(-1, 21))
 
@@ -793,30 +833,100 @@ def test_mixing_two_fields_still_raises_in_join():
 
 
 def test_rational_times_field_scales_each_nonzero_part(monkeypatch):
-    counts = {"mul": 0, "add": 0}
-    mul, add = Fraction.__mul__, Fraction.__add__
-
-    def counted_mul(a, b):
-        counts["mul"] += 1
-        return mul(a, b)
-
-    def counted_add(a, b):
-        counts["add"] += 1
-        return add(a, b)
-
     # three nonzero real parts and one nonzero imaginary part
     x = Scalar._make([(Fraction(1, 2), Fraction(0)),
                       (Fraction(-3), Fraction(2, 7)),
                       (Fraction(5, 3), Fraction(0))], _CUBIC.context)
     q = Scalar(Fraction(2, 3))
-    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
-    monkeypatch.setattr(Fraction, "__add__", counted_add)
-    product = x * q
-    after_mul = dict(counts)
-    total = x + q
-    after_add = dict(counts)
-    monkeypatch.undo()
-    assert after_mul == {"mul": 4, "add": 0}
-    assert after_add == {"mul": 4, "add": 1}
+    product, mul_counts = _fraction_op_counts(monkeypatch, lambda: x * q)
+    total, add_counts = _fraction_op_counts(monkeypatch, lambda: x + q)
+    assert mul_counts == {"mul": 4, "add": 0, "sub": 0, "neg": 0}
+    assert add_counts == {"mul": 0, "add": 1, "sub": 0, "neg": 0}
     _assert_identical(product, _mul_reference(x, q))
     _assert_identical(total, _add_reference(x, q))
+
+
+def _part_kind_elements(seed):
+    """Elements of quadratic and cubic fields, at every root index, whose
+    coefficients are all real, all purely imaginary, or mixed (real, purely
+    imaginary, Gaussian and zero), and pairs whose sums cancel a part."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                        rng.randint(1, 7))
+
+    def part(kind):
+        if kind == "mixed":
+            kind = rng.choice(["real", "imag", "gauss", "zero"])
+        return {"real": (q(), Fraction(0)), "imag": (Fraction(0), q()),
+                "gauss": (q(), q()), "zero": _GQ0}[kind]
+
+    minpolys = [(-2, 0, 1), (-1, 1, 1), (3, 0, 1),   # sqrt 2, golden, sqrt -3
+                (1, -3, 0, 1), (-2, 0, 0, 1),        # three real roots, one
+                (1, -2, -1, 1)]                      # every coefficient set
+    out = []
+    for poly in minpolys:
+        poly = tuple(map(Fraction, poly))
+        for k in range(len(poly) - 1):
+            ctx = AlgebraicContext(poly, k)
+            for kind in ("real", "imag", "mixed", "mixed"):
+                coeffs = [part(kind) for _ in range(ctx.degree)]
+                coeffs[-1] = part(kind if kind != "mixed" else "gauss")
+                x = Scalar._make(coeffs, ctx)
+                # the same theta-part and the constant's real part negated,
+                # so that x + y and x - y each cancel a part
+                y = Scalar._make([(-coeffs[0][0], coeffs[0][1])]
+                                 + coeffs[1:], ctx)
+                out += [x, y]
+    assert all(x.context is not None for x in out)
+    return out
+
+
+def test_zero_aware_field_arithmetic_matches_the_full_q_i_arithmetic():
+    xs = _part_kind_elements(19)
+    assert {(x.context.degree, x.context.root_index) for x in xs} == {
+        (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+    for x in xs:
+        _assert_identical(-x, _neg_reference(x))
+        for y in xs:
+            if y.context != x.context:
+                continue
+            _assert_identical(x + y, _add_reference(x, y))
+            _assert_identical(x - y, _sub_reference(x, y))
+            _assert_identical(x * y, _mul_reference(x, y))
+        _assert_identical(x * x.inverse(), Scalar(1))
+
+
+def test_real_field_products_multiply_only_nonzero_parts(monkeypatch):
+    # x^3 - x^2 - 2x + 1 (every lower coefficient nonzero) and x^2 - 2, with
+    # every coefficient of both factors real and nonzero
+    def element(poly, coeffs):
+        ctx = AlgebraicContext(tuple(map(Fraction, poly)), 0)
+        return Scalar._make([(Fraction(c), Fraction(0)) for c in coeffs], ctx)
+
+    cubic = (element((1, -2, -1, 1), (Fraction(1, 2), -3, Fraction(5, 3))),
+             element((1, -2, -1, 1), (2, Fraction(-1, 7), 4)))
+    quadratic = (element((-2, 0, 1), (Fraction(1, 2), -3)),
+                 element((-2, 0, 1), (Fraction(2, 5), 7)))
+    # 9 products and 4 sums in the convolution, 2 x 3 products and
+    # differences in the fold; before, 48 products and 48 sums or
+    # differences, each part of each product taken as Gaussian
+    x, y = cubic
+    got, counts = _fraction_op_counts(monkeypatch, lambda: x * y)
+    assert counts == {"mul": 15, "add": 4, "sub": 6, "neg": 0}
+    _assert_identical(got, _mul_reference(x, y))
+    # 4 products and 1 sum, then 1 product and 1 difference for theta^2 = 2
+    # (before, 18 and 18)
+    x, y = quadratic
+    got, counts = _fraction_op_counts(monkeypatch, lambda: x * y)
+    assert counts == {"mul": 5, "add": 1, "sub": 1, "neg": 0}
+    _assert_identical(got, _mul_reference(x, y))
+    # sums, differences and negation touch the real parts only
+    x, y = cubic
+    for thunk, want, op in ((lambda: x + y, _add_reference(x, y), "add"),
+                            (lambda: x - y, _sub_reference(x, y), "sub"),
+                            (lambda: -x, _neg_reference(x), "neg")):
+        got, counts = _fraction_op_counts(monkeypatch, thunk)
+        assert counts == {"mul": 0, "add": 0, "sub": 0, "neg": 0, op: 3}
+        _assert_identical(got, want)
