@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .funcalg import (
-    _ZEROS, AnsatzFunction, Context, Point, Term, constant, contracted_ricci,
-    hessian, input_object, product, riemann, sum_products, to_bundle,
+    _ZEROS, AnsatzFunction, Context, DomainError, Point, Term, _derive_terms,
+    _function, _sum_product_terms, constant, contracted_ricci, hessian,
+    input_object, product, sum_products, to_bundle,
 )
 from .qesolver import is_solution, potential_residual_at
 from .report import VerificationReport
@@ -36,6 +37,9 @@ _EPS = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
         for p in itertools.permutations(range(4))}
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+# the 21 blocks a < b, c < d, (a, b) <= (c, d) of a curvature tensor
+_BLOCKS = tuple(p + q for p, q in itertools.combinations_with_replacement(
+    itertools.combinations(range(4), 2), 2))
 
 
 class ExtensionError(ValueError):
@@ -138,16 +142,17 @@ class CurvaturePack4:
     """Levi-Civita curvature of a 4-d exact metric, all symbolic.
 
     Each tensor is built on first use and then kept, so a caller pays only
-    for what it reads.  christoffel[c][a][b] is Gamma_ab^c, the layout of the
-    shared formulas in `funcalg`; riemann_up[a][b][c][d] stores
-    R(e_a, e_b) e_c in the e_d slot; ricci[b][c] is its trace over the first
-    slot, contracted from the Christoffel symbols (`funcalg.contracted_ricci`)
-    without building riemann_up; riemann[a][b][c][d] is
-    g(R(e_a,e_b) e_d, e_c), the ordering in which the Weyl decomposition has
-    its classical form.  riemann and weyl are antisymmetric in (a, b) and in
-    (c, d): the blocks a < b, c < d are computed, the rest filled by sign,
-    and the c = d entries are the shared zero.  `hessian` keeps the Hessian
-    of the last function asked for, so checks of one function share it.
+    for what it reads.  first_kind[d][a][b] is Gamma_{d,ab} =
+    (d_a g_bd + d_b g_ad - d_d g_ab) / 2, each d_c g_ab taken once;
+    christoffel[c][a][b] = g^{cd} Gamma_{d,ab} is Gamma_ab^c, the layout of
+    the formulas in `funcalg`; ricci[b][c] is `contracted_ricci` of it;
+    riemann[a][b][c][d] is g(R(e_a,e_b) e_d, e_c) = d_a Gamma_{c,bd}
+    - d_b Gamma_{c,ad} + Gamma_ad^e Gamma_{e,bc} - Gamma_bd^e Gamma_{e,ac},
+    and weyl has the same ordering, in which the Weyl decomposition is
+    classical.  Both are antisymmetric in (a, b) and in (c, d) and symmetric
+    under (a, b) <-> (c, d): the 21 blocks a < b, c < d, (a, b) <= (c, d)
+    are computed and each sets its 8 images; c = d entries are the shared
+    zero.  `hessian` keeps the Hessian of the last function asked for.
     """
 
     def __init__(self, g, g_inv):
@@ -157,8 +162,8 @@ class CurvaturePack4:
 
     # -- tensors ------------------------------------------------------------
     @cached_property
-    def christoffel(self):
-        g, ginv = self.g, self.g_inv
+    def first_kind(self):
+        g = self.g
         # dg[a][b][c] = d_c g_ab, once for each entry of the symmetric g
         dg = [[None] * 4 for _ in range(4)]
         for a in range(4):
@@ -166,27 +171,31 @@ class CurvaturePack4:
                 dg[a][b] = dg[b][a] = ([g[a][b].derive(c + 1)
                                         for c in range(4)]
                                        if g[a][b].terms else [_Z4] * 4)
-        # by c, the nonzero g^{cd} as (d, g^{cd})
-        rows = [[(d, v) for d, v in enumerate(ginv[c]) if v.terms]
-                for c in range(4)]
-        gamma = [[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
+        low = [[[None] * 4 for _ in range(4)] for _ in range(4)]
         half = Scalar(Fraction(1, 2))
         for a in range(4):
             for b in range(a, 4):
-                # twice the symbols of the first kind, Gamma_abd
-                low = [dg[b][d][a] + dg[a][d][b] - dg[a][b][d]
-                       for d in range(4)]
-                if not any(v.terms for v in low):
-                    continue
-                for c in range(4):
-                    acc = sum_products(((v, low[d]) for d, v in rows[c]),
-                                       Context.FOURD).scale(half)
-                    gamma[c][a][b] = gamma[c][b][a] = acc
-        return gamma
+                for d in range(4):
+                    low[d][a][b] = low[d][b][a] = (
+                        dg[b][d][a] + dg[a][d][b] - dg[a][b][d]).scale(half)
+        return low
 
     @cached_property
-    def riemann_up(self):
-        return riemann(self.christoffel)
+    def christoffel(self):
+        low = self.first_kind
+        # by c, the nonzero g^{cd} as (d, g^{cd})
+        rows = [[(d, v) for d, v in enumerate(self.g_inv[c]) if v.terms]
+                for c in range(4)]
+        gamma = [[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
+        for a in range(4):
+            for b in range(a, 4):
+                if not any(low[d][a][b].terms for d in range(4)):
+                    continue
+                for c in range(4):
+                    gamma[c][a][b] = gamma[c][b][a] = sum_products(
+                        ((v, low[d][a][b]) for d, v in rows[c]),
+                        Context.FOURD)
+        return gamma
 
     @cached_property
     def ricci(self):
@@ -200,18 +209,22 @@ class CurvaturePack4:
 
     @cached_property
     def riemann(self):
-        R, g = self.riemann_up, self.g
-        # by c, the nonzero g_ec as (e, g_ec)
-        cols = [[(e, g[e][c]) for e in range(4) if g[e][c].terms]
-                for c in range(4)]
+        low, gamma = self.first_kind, self.christoffel
+        minus_low = [[[-v for v in row] for row in plane] for plane in low]
+        # by (i, j), the nonzero Gamma_ij^e as (e, Gamma_ij^e)
+        up = [[[(e, gamma[e][i][j]) for e in range(4) if gamma[e][i][j].terms]
+               for j in range(4)] for i in range(4)]
         out = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
                for _ in range(4)]
-        for a, b in itertools.combinations(range(4), 2):
-            for c, d in itertools.combinations(range(4), 2):
-                r = R[a][b][d]
-                v = sum_products(((r[e], gec) for e, gec in cols[c]),
-                                 Context.FOURD)
-                _fill_antisymmetric(out, a, b, c, d, v)
+        for a, b, c, d in _BLOCKS:
+            terms: list[Term] = []
+            _derive_terms(low[c][b][d].terms, a + 1, terms)
+            _derive_terms(minus_low[c][a][d].terms, b + 1, terms)
+            _sum_product_terms(((v, low[e][b][c]) for e, v in up[a][d]),
+                               terms)
+            _sum_product_terms(((v, minus_low[e][a][c]) for e, v in up[b][d]),
+                               terms)
+            _fill_blocks(out, a, b, c, d, _function(terms, Context.FOURD))
         return out
 
     @cached_property
@@ -225,13 +238,12 @@ class CurvaturePack4:
         Rm = self.riemann
         W = [[[[_Z4] * 4 for _ in range(4)] for _ in range(4)]
              for _ in range(4)]
-        for a, b in itertools.combinations(range(4), 2):
-            for c, d in itertools.combinations(range(4), 2):
-                w = Rm[a][b][c][d] + sum_products(
-                    ((g[a][c], minus_P[b][d]), (g[a][d], P[b][c]),
-                     (g[b][d], minus_P[a][c]), (g[b][c], P[a][d])),
-                    Context.FOURD)
-                _fill_antisymmetric(W, a, b, c, d, w)
+        for a, b, c, d in _BLOCKS:
+            terms = list(Rm[a][b][c][d].terms)
+            _sum_product_terms(
+                ((g[a][c], minus_P[b][d]), (g[a][d], P[b][c]),
+                 (g[b][d], minus_P[a][c]), (g[b][c], P[a][d])), terms)
+            _fill_blocks(W, a, b, c, d, _function(terms, Context.FOURD))
         return W
 
     def hessian(self, w: AnsatzFunction):
@@ -249,9 +261,7 @@ class CurvaturePack4:
         return [[sum_products(((ginv[e][c].scale(_EPS[(a, b, e, f)]),
                                 ginv[f][d])
                                for e in range(4) for f in range(4)
-                               if (a, b, e, f) in _EPS
-                               and not (ginv[e][c].is_zero()
-                                        or ginv[f][d].is_zero())),
+                               if (a, b, e, f) in _EPS),
                               Context.FOURD)
                  for c, d in _PAIRS] for a, b in _PAIRS]
 
@@ -284,8 +294,7 @@ class CurvaturePack4:
             proj = [[(star[i][j].scale(Scalar(Fraction(sign, 2)))
                       + (half_id if i == j else _Z4))
                      for j in range(6)] for i in range(6)]
-            half = _matmul6(proj, _matmul6(wop, proj))
-            halves.append(half)
+            halves.append(_matmul6(proj, _matmul6(wop, proj)))
         return halves[0], halves[1]
 
     def weyl_half_norms(self, point) -> tuple:
@@ -293,13 +302,13 @@ class CurvaturePack4:
         return (_frobenius(plus, point), _frobenius(minus, point))
 
 
-def _fill_antisymmetric(T, a, b, c, d, v) -> None:
-    """Set T[a][b][c][d] = v and its three images under the antisymmetry in
-    (a, b) and in (c, d); a zero v leaves the shared zero in place."""
+def _fill_blocks(T, a, b, c, d, v) -> None:
+    """Set T[a][b][c][d] = v and its 7 images under the symmetries of a
+    curvature tensor; a zero v leaves the shared zero in place."""
     if v.terms:
         minus_v = -v
-        T[a][b][c][d] = T[b][a][d][c] = v
-        T[a][b][d][c] = T[b][a][c][d] = minus_v
+        T[a][b][c][d] = T[b][a][d][c] = T[c][d][a][b] = T[d][c][b][a] = v
+        T[a][b][d][c] = T[b][a][c][d] = T[c][d][b][a] = T[d][c][a][b] = minus_v
 
 
 def _matmul6(a, b):
@@ -313,11 +322,14 @@ def _matmul6(a, b):
 
 def _frobenius(matrix, point) -> float:
     total = 0.0
-    for row in matrix:
-        for entry in row:
-            if entry.is_zero():
-                continue
-            total += abs(entry.eval(point)) ** 2
+    try:
+        for row in matrix:
+            for entry in row:
+                total += abs(entry.eval(point)) ** 2
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise DomainError(f"Weyl half norm out of float range at {point}")
     return math.sqrt(total)
 
 

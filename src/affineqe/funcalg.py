@@ -11,15 +11,14 @@ FOURD:   all fields allowed; used on the cotangent bundle with fiber (y1, y2).
 Every context is closed under the partial derivatives of its variables, which
 is what makes exact residual computations possible downstream.
 
-The tensor formulas that the surface and the cotangent bundle share live here
-once: `sum_products`, the Hessian `hessian`, the curvature `riemann` and its
-trace `ricci_trace`, and `contracted_ricci`, the same Ricci tensor without
-the full curvature (T*M reads it; the surface keeps the trace, which is the
-faster of the two at n = 2).  They take the Christoffel symbols of an
-n-dimensional connection (n = 2 on a surface, 4 on T*M) as a nested array
-gamma[k][i][j] = Gamma_ij^k, with 0-based indices.  All values
-are immutable and all operations pure, so they are safe to share across
-threads without synchronization.
+The tensor formulas live here once: `sum_products` and the Hessian `hessian`
+for the surface and T*M; the curvature `riemann` and its trace `ricci_trace`
+for the surface, where the trace is the faster route; and `contracted_ricci`,
+the same Ricci tensor without the full curvature, for T*M.  They take the
+Christoffel symbols of an n-dimensional connection (n = 2 on a surface, 4 on
+T*M) as a nested array gamma[k][i][j] = Gamma_ij^k, with 0-based indices.
+All values are immutable and all operations pure, so they are safe to share
+across threads without synchronization.
 """
 from __future__ import annotations
 

@@ -158,8 +158,7 @@ def ricci(conn: AffineConnection2) -> RicciData:
 
     rho_jk = R_ijk^i, the trace of the curvature
     R_ijk^l = d_i G_jk^l - d_j G_ik^l + G_jk^m G_im^l - G_ik^m G_jm^l
-    (`funcalg.riemann` and `funcalg.ricci_trace`, the formulas the
-    cotangent bundle uses too).
+    (`funcalg.riemann` and `funcalg.ricci_trace`).
     """
     rho = ricci_trace(riemann(christoffel(conn)))
     r = [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(0)]]

@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -129,21 +130,23 @@ def test_warp_and_verify_build_the_full_curvature_for_weyl_only(
         capsys, tmp_path, monkeypatch):
     """`warp` reads the Ricci tensor, contracted from the Christoffel
     symbols; only `verify`, whose Weyl check needs it, builds the 4-d
-    `funcalg.riemann`, once."""
+    curvature `CurvaturePack4.riemann`, once."""
     calls = []
-    original = extension.riemann
+    original = extension.CurvaturePack4.riemann.func
 
-    def spy(gamma):
-        calls.append(len(gamma))
-        return original(gamma)
+    def spy(pack):
+        calls.append(pack)
+        return original(pack)
 
-    monkeypatch.setattr(extension, "riemann", spy)
+    prop = functools.cached_property(spy)
+    prop.__set_name__(extension.CurvaturePack4, "riemann")
+    monkeypatch.setattr(extension.CurvaturePack4, "riemann", prop)
     p = tmp_path / "a2.json"
     save_connection(A2, p)
     assert run_cli(capsys, "warp", "--input", str(p), "--mu", "1")[0] == 0
-    assert calls.count(4) == 0
+    assert len(calls) == 0
     assert run_cli(capsys, "verify", "--input", str(p), "--mu", "1")[0] == 0
-    assert calls.count(4) == 1
+    assert len(calls) == 1
 
 
 def test_verify_mu_minus_one_takes_one_hessian(capsys, tmp_path,
@@ -183,6 +186,30 @@ def test_extend(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["weyl_half_norms"]["anti_self_dual"] == 0.0
     assert payload["weyl_half_norms"]["self_dual"] > 1e-3
+
+
+def test_extend_weyl_norm_out_of_float_range_exits_2(capsys, tmp_path,
+                                                     monkeypatch):
+    """A Weyl half whose norm leaves float range exits 2 with one line; at
+    Phi_11 = e^{150 x1} the norm, about 2.8e120, is still printed."""
+    monkeypatch.delenv("QE_SEED", raising=False)
+    p = tmp_path / "a.json"
+    save_connection(AffineConnection2.type_a(c111=1, c121=2, c122=-1,
+                                             c222=1), p)
+    phi = tmp_path / "phi.json"
+    codes = []
+    for rate in ("150", "250"):
+        phi.write_text(json.dumps(
+            {"phi11": [{"coeff": "1", "exp": [rate, "0"]}]}))
+        codes.append(run_cli(capsys, "extend", "--input", str(p),
+                             "--phi", str(phi)))
+    (code, out, _), (big_code, _, err) = codes
+    assert code == 0
+    assert json.loads(out)["weyl_half_norms"] == {
+        "anti_self_dual": 0.0, "self_dual": 2.8468517939795285e+120}
+    assert big_code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Weyl half norm out of float range" in err
 
 
 def test_sweep_csv(capsys, tmp_path):

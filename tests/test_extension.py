@@ -32,12 +32,14 @@ def ricci_is_symmetric(pack) -> bool:
 
 
 def first_bianchi_zero(pack) -> bool:
-    R = pack.riemann_up
+    """R(e_a,e_b)e_c + R(e_b,e_c)e_a + R(e_c,e_a)e_b = 0, read in the lowered
+    tensor riemann[a][b][e][c] = g(R(e_a,e_b)e_c, e_e)."""
+    Rm = pack.riemann
     for a in range(4):
         for b in range(4):
             for c in range(4):
-                for d in range(4):
-                    s = R[a][b][c][d] + R[b][c][a][d] + R[c][a][b][d]
+                for e in range(4):
+                    s = Rm[a][b][e][c] + Rm[b][c][e][a] + Rm[c][a][e][b]
                     if not s.is_zero():
                         return False
     return True
@@ -65,9 +67,11 @@ def test_build_extension_values():
 def test_flat_extension_is_flat():
     m = build_extension(AffineConnection2.type_a())
     pack = curvature4(m)
-    assert all(pack.riemann_up[a][b][c][d].is_zero()
+    assert all(pack.riemann[a][b][c][d].is_zero()
                for a in range(4) for b in range(4)
                for c in range(4) for d in range(4))
+    assert all(v.is_zero() for x in dense_riemann_up(pack.christoffel)
+               for y in x for z in y for v in z)
 
 
 def test_signature_2_2():
@@ -311,6 +315,13 @@ def _dot(pairs):
     return _total(product(f, g) for f, g in pairs)
 
 
+def dense_first_kind(g):
+    dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
+          for a in range(4)]
+    return [[[(dg[b][d][a] + dg[a][d][b] - dg[a][b][d]).scale(Fraction(1, 2))
+              for b in range(4)] for a in range(4)] for d in range(4)]
+
+
 def dense_christoffel(g, ginv):
     dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
           for a in range(4)]
@@ -378,17 +389,22 @@ def dense_weyl_halves(star, wop):
 
 def assert_pack_matches_dense(pack):
     g, ginv = pack.g, pack.g_inv
+    assert pack.first_kind == dense_first_kind(g)
     gamma = dense_christoffel(g, ginv)
     assert pack.christoffel == gamma
     R = dense_riemann_up(gamma)
-    assert pack.riemann_up == R
     rho = dense_ricci(R)
     assert pack.ricci == rho
     Rm = dense_lowered(R, g)
     assert pack.riemann == Rm
     W = dense_weyl(g, ginv, Rm, rho)
     assert pack.weyl == W
-    # both are filled by antisymmetry from a < b, c < d: c = d is the zero
+    # the pair symmetry that lets the pack compute 21 blocks and fill the rest
+    for T in (Rm, W):
+        assert all(T[a][b][c][d] == T[c][d][a][b] for a in range(4)
+                   for b in range(4) for c in range(4) for d in range(4))
+    assert first_bianchi_zero(pack)
+    # both are filled from the 21 blocks a < b, c < d: c = d is the zero
     for T in (pack.riemann, pack.weyl):
         assert all(T[a][b][c][c] is _ZEROS[FOURD] for a in range(4)
                    for b in range(4) for c in range(4))

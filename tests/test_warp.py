@@ -57,7 +57,6 @@ def test_curvature_tensors_built_on_first_use(monkeypatch):
     assert report.passed
     built = vars(packs[0])
     assert "christoffel" in built and "ricci" in built
-    assert "riemann_up" not in built
     assert "riemann" not in built and "weyl" not in built
 
     monkeypatch.setattr(extension, "curvature4", spy)
