@@ -12,18 +12,16 @@ Every context is closed under the partial derivatives of its variables, which
 is what makes exact residual computations possible downstream.
 
 The tensor formulas live here once: `sum_products` and the Hessian `hessian`
-for the surface and T*M; the curvature `riemann` and its trace `ricci_trace`
-for the surface, where the trace is the faster route; and `contracted_ricci`,
-the same Ricci tensor without the full curvature, for T*M.  They take the
-Christoffel symbols of an n-dimensional connection (n = 2 on a surface, 4 on
-T*M) as a nested array gamma[k][i][j] = Gamma_ij^k, with 0-based indices.
+for the surface and T*M, and `contracted_ricci`, the Ricci tensor without
+the full curvature, for T*M.  They take the Christoffel symbols of an
+n-dimensional connection (n = 2 on a surface, 4 on T*M) as a nested array
+gamma[k][i][j] = Gamma_ij^k, with 0-based indices.
 All values are immutable and all operations pure, so they are safe to share
 across threads without synchronization.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -554,47 +552,9 @@ def hessian(gamma, f: AnsatzFunction, zeroth=None):
     return out
 
 
-def riemann(gamma):
-    """R[a][b][c][d]: the e_d component of R(e_a, e_b) e_c, that is
-    d_a Gamma_bc^d - d_b Gamma_ac^d + Gamma_bc^e Gamma_ae^d
-    - Gamma_ac^e Gamma_be^d."""
-    n = len(gamma)
-    context = gamma[0][0][0].context
-    neg = [[[-g for g in row] for row in plane] for plane in gamma]
-    # by (i, j), the k with a nonzero symbol Gamma_ij^k
-    nonzero = [[[k for k in range(n) if gamma[k][i][j].terms]
-                for j in range(n)] for i in range(n)]
-    zero = _ZEROS[context]
-    R = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        for c in range(n):
-            bc, ac = nonzero[b][c], nonzero[a][c]
-            if not (bc or ac):
-                continue
-            for d in range(n):
-                terms: list[Term] = []
-                _derive_terms(gamma[d][b][c].terms, a + 1, terms)
-                _derive_terms(neg[d][a][c].terms, b + 1, terms)
-                _sum_product_terms(
-                    [(gamma[e][b][c], gamma[d][a][e]) for e in bc]
-                    + [(neg[e][a][c], gamma[d][b][e]) for e in ac], terms)
-                if terms:
-                    R[a][b][c][d] = f = AnsatzFunction(terms, context)
-                    R[b][a][c][d] = -f
-    return R
-
-
-def ricci_trace(R):
-    """Ricci tensor rho_bc = sum_a R[a][b][c][a] of a `riemann` array."""
-    n = len(R)
-    context = R[0][0][0][0].context
-    return [[_function([t for a in range(n) for t in R[a][b][c][a].terms],
-                       context) for c in range(n)] for b in range(n)]
-
-
 def contracted_ricci(gamma):
-    """The Ricci tensor `ricci_trace(riemann(gamma))` without the full
-    curvature: with T_c = Gamma_ac^a, summed over a and e,
+    """The Ricci tensor rho_bc = R_abc^a without the full curvature: with
+    T_c = Gamma_ac^a, summed over a and e,
 
         rho_bc = d_a Gamma_bc^a - d_b T_c + Gamma_bc^e T_e
                  - Gamma_ac^e Gamma_be^a.

@@ -19,10 +19,10 @@ from functools import cached_property, lru_cache
 
 from . import _linalg
 from .funcalg import (
-    AnsatzFunction, Context, constant, input_object, monomial, ricci_trace,
-    riemann, scalar_from_json, scalar_to_json, shift_pow1, sum_products,
+    AnsatzFunction, Context, constant, input_object, monomial,
+    scalar_from_json, scalar_to_json, shift_pow1, sum_products,
 )
-from .scalars import Scalar
+from .scalars import ZERO, Scalar, ScalarError
 
 _COEFF_ORDER = ("111", "112", "121", "122", "221", "222")
 
@@ -154,33 +154,35 @@ def christoffel(conn: AffineConnection2) -> tuple:
 
 @lru_cache(maxsize=512)
 def ricci(conn: AffineConnection2) -> RicciData:
-    """Exact Ricci tensor from R(x,y) = nabla_x nabla_y - nabla_y nabla_x.
+    """Exact Ricci tensor rho_bc = R_abc^a of R(x,y) = nabla_x nabla_y -
+    nabla_y nabla_x, in closed form in the six coefficients.
 
-    rho_jk = R_ijk^i, the trace of the curvature
-    R_ijk^l = d_i G_jk^l - d_j G_ik^l + G_jk^m G_im^l - G_ik^m G_jm^l
-    (`funcalg.riemann` and `funcalg.ricci_trace`).
+    With C_ij^k = `conn.coefficient(i, j, k)` and T_c = C_1c^1 + C_2c^2,
+    summed over a and e,
+
+        Type A:  rho_bc = r_bc = C_bc^e T_e - C_ac^e C_be^a,
+        Type B:  rho_bc = r_bc / x1^2, where r_bc is the same sum
+                 - C_bc^1, plus T_c when b = 1.
+
+    This is `funcalg.contracted_ricci` for the symbols C (Type A) and C/x1
+    (Type B); the two extra Type B terms are its derivative terms.  Type
+    A's r is symmetric: swap a and e.
     """
-    rho = ricci_trace(riemann(christoffel(conn)))
-    r = [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(0)]]
-    for i in range(2):
-        for j in range(2):
-            f = rho[i][j]
-            if f.is_zero():
-                continue
-            if len(f.terms) != 1:
-                raise ConnectionError_("unexpected Ricci structure")
-            t = f.terms[0]
-            if conn.kind == "A":
-                if not (t.pow1.is_zero() and t.logdeg == 0 and t.deg2 == 0):
-                    raise ConnectionError_("Type A Ricci must be constant")
-            else:
-                if not (t.pow1 == Scalar(-2) and t.logdeg == 0 and t.deg2 == 0):
-                    raise ConnectionError_("Type B Ricci must be r/x1^2")
-            r[i][j] = t.coeff
-    data = RicciData(conn.kind, tuple(tuple(row) for row in r))
-    if conn.kind == "A" and not data.is_symmetric:
-        raise ConnectionError_("Type A Ricci tensors are symmetric")
-    return data
+    C = conn.coefficient
+    trace = [C(1, c, 1) + C(2, c, 2) for c in (1, 2)]
+
+    def entry(b, c):
+        acc = ZERO
+        for e in (1, 2):
+            acc = acc + C(b, c, e) * trace[e - 1]
+            for a in (1, 2):
+                acc = acc - C(a, c, e) * C(b, e, a)
+        if conn.kind == "B":
+            acc = acc - C(b, c, 1) + (trace[c - 1] if b == 1 else ZERO)
+        return acc
+
+    return RicciData(conn.kind, tuple(tuple(entry(b, c) for c in (1, 2))
+                                      for b in (1, 2)))
 
 
 def transform(conn: AffineConnection2, S) -> AffineConnection2:
@@ -246,7 +248,7 @@ def normalize_type_b(conn: AffineConnection2):
     if c221.is_zero():
         return conn, IDENTITY_RECORD
     if not c221.is_rational():
-        raise ConnectionError_("C22^1 must be real for normalization")
+        raise ScalarError("C22^1 must be rational for normalization")
     val = c221.as_fraction()
     eps = 1 if val > 0 else -1
     b = Scalar.sqrt_rational(abs(val))

@@ -528,6 +528,19 @@ def test_unsupported_input_exit_3(capsys, tmp_path):
     assert out == ""
     assert err == ("error: unsupported input: flat solver needs rational "
                    "coefficients\n")
+    # Type B with an irrational C22^1, sqrt 2 or i: the normalization
+    # rescales by sqrt |C22^1| and needs it rational
+    for name, c221 in (("sqrt2", '{"c": [["0", "0"], ["1", "0"]], '
+                                 '"min": ["-2", "0", "1"], "root": 1}'),
+                       ("i", '["0", "1"]')):
+        p = tmp_path / f"c221_{name}.json"
+        p.write_text('{"kind": "B", "coeffs": {"111": "1", "122": "1", '
+                     f'"221": {c221}}}}}')
+        for argv in (("solve", "--mu", "1"), ("classify",)):
+            code, out, err = run_cli(capsys, *argv, "--input", str(p))
+            assert (code, out) == (3, ""), (name, argv)
+            assert err == ("error: unsupported input: C22^1 must be "
+                           "rational for normalization\n")
 
 
 @pytest.mark.parametrize("index", [None, "0", "1", "2"])

@@ -12,11 +12,11 @@ from affineqe.extension import (
 )
 from affineqe.funcalg import (
     _ZEROS, AnsatzFunction, Context, Point, Term, constant, contracted_ricci,
-    exp_linear, monomial, product, ricci_trace, riemann, sum_products,
-    to_bundle,
+    exp_linear, monomial, product, sum_products, to_bundle,
 )
 from affineqe.scalars import Scalar, roots_of_monic
 from affineqe.surface import AffineConnection2, ricci
+from dense_reference import _dot, dense_ricci, dense_riemann_up
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
 HYPERBOLIC = AffineConnection2.type_b(c111=-1, c122=-1, c221=1)
@@ -304,17 +304,6 @@ REF_EPS = {p: (-1) ** sum(p[i] > p[j] for i in range(4)
            for p in itertools.permutations(range(4))}
 
 
-def _total(fs):
-    out = ZERO4
-    for f in fs:
-        out = out + f
-    return out
-
-
-def _dot(pairs):
-    return _total(product(f, g) for f, g in pairs)
-
-
 def dense_first_kind(g):
     dg = [[[g[a][b].derive(c + 1) for c in range(4)] for b in range(4)]
           for a in range(4)]
@@ -328,19 +317,6 @@ def dense_christoffel(g, ginv):
     return [[[_dot((ginv[c][d], dg[b][d][a] + dg[a][d][b] - dg[a][b][d])
                    for d in range(4)).scale(Fraction(1, 2))
               for b in range(4)] for a in range(4)] for c in range(4)]
-
-
-def dense_riemann_up(gamma):
-    return [[[[gamma[d][b][c].derive(a + 1) - gamma[d][a][c].derive(b + 1)
-               + _dot((gamma[e][b][c], gamma[d][a][e]) for e in range(4))
-               - _dot((gamma[e][a][c], gamma[d][b][e]) for e in range(4))
-               for d in range(4)] for c in range(4)] for b in range(4)]
-            for a in range(4)]
-
-
-def dense_ricci(R):
-    return [[_total(R[a][b][c][a] for a in range(4)) for c in range(4)]
-            for b in range(4)]
 
 
 def dense_lowered(R, g):
@@ -389,6 +365,10 @@ def dense_weyl_halves(star, wop):
 
 def assert_pack_matches_dense(pack):
     g, ginv = pack.g, pack.g_inv
+    # g g^-1 = I: `build_extension` writes g^-1 in closed form, unchecked
+    assert all(_dot((g[a][c], ginv[c][b]) for c in range(4))
+               == (constant(1, FOURD) if a == b else ZERO4)
+               for a in range(4) for b in range(4))
     assert pack.first_kind == dense_first_kind(g)
     gamma = dense_christoffel(g, ginv)
     assert pack.christoffel == gamma
@@ -453,9 +433,10 @@ def test_curvature_matches_dense_reference():
 
 
 def test_contracted_ricci_matches_trace_on_extensions():
-    """n = 4: the contraction equals the trace of `riemann` term for term on
-    extension metrics with Phi = 0 and Phi != 0 (det g = 1, T = 0) and on
-    their conformal rescalings x1^2 e^{x2} g, whose T is not zero."""
+    """n = 4: the contraction equals the trace of the dense curvature term
+    for term on extension metrics with Phi = 0 and Phi != 0 (det g = 1,
+    T = 0) and on their conformal rescalings x1^2 e^{x2} g, whose T is not
+    zero."""
     rng = random.Random(20261021)
     factor = monomial(FOURD, exp=(0, 1), pow1=2)
     factor_inv = monomial(FOURD, exp=(0, -1), pow1=-2)
@@ -473,7 +454,8 @@ def test_contracted_ricci_matches_trace_on_extensions():
                  for row in metric.g_inv]))
         for pack in packs:
             gamma = pack.christoffel
-            assert contracted_ricci(gamma) == ricci_trace(riemann(gamma))
+            assert contracted_ricci(gamma) == dense_ricci(
+                dense_riemann_up(gamma))
             trace = [sum((gamma[a][a][c] for a in range(4)), ZERO4)
                      for c in range(4)]
             with_trace += any(t.terms for t in trace)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affineqe import _linalg
-from affineqe.funcalg import Context, monomial
+from affineqe.funcalg import Context, Term, monomial
 from affineqe.scalars import Scalar
 from affineqe.qesolver import eigenspace
 from affineqe.surface import (
@@ -14,6 +14,7 @@ from affineqe.surface import (
     is_strongly_projectively_flat, nabla_ricci, normalize_type_b, ricci,
     transform, type_flags,
 )
+from dense_reference import dense_ricci, dense_riemann_up
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
 HYPERBOLIC = AffineConnection2.type_b(c111=-1, c122=-1, c221=1)
@@ -103,6 +104,36 @@ def test_ricci_random_vs_vectorfield_expansion():
         for i in range(2):
             for j in range(2):
                 assert got[i][j] == pytest.approx(expected[i][j], abs=1e-12)
+
+
+def test_ricci_matches_dense_reference():
+    """The closed form of `ricci` against the trace of the dense curvature of
+    the Christoffel functions, on seeded Type A and Type B draws with
+    rational, Q(sqrt 2), Q(i) and cubic-field coefficients.  Each entry of
+    the dense Ricci tensor is zero or one term: the constant r_bc for Type
+    A, r_bc / x1^2 for Type B."""
+    rng = random.Random(20261022)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 10 ** 4)
+    fields = (Scalar(1), Scalar.sqrt_rational(2), Scalar(0, 1),
+              Scalar.algebraic((-2, 0, 0, 1), 0))
+    skew = 0
+    for i in range(64):
+        theta = fields[i // 2 % 4]
+        conn = AffineConnection2("AB"[i % 2], tuple(
+            Scalar(rng.choice(values)) + theta * rng.choice(values)
+            for _ in range(6)))
+        r = ricci(conn).r
+        rho = dense_ricci(dense_riemann_up(christoffel(conn)))
+        pow1 = Scalar(0) if conn.kind == "A" else Scalar(-2)
+        for b in range(2):
+            for c in range(2):
+                if rho[b][c].is_zero():
+                    assert r[b][c].is_zero(), conn
+                    continue
+                (t,) = rho[b][c].terms
+                assert t == Term(r[b][c], pow1=pow1), conn
+        skew += not ricci(conn).is_symmetric
+    assert skew >= 5
 
 
 def test_normalize_spec_example():
@@ -241,10 +272,12 @@ def test_surface_caches_are_bounded():
     largest = max(fn.cache_info().maxsize for fn in caches)
     misses = [fn.cache_info().misses for fn in caches]
     # distinct non-flat Type B connections with C22^1 = 1 normalize and
-    # classify cheaply at mu = 1/2
+    # classify cheaply at mu = 1/2; the closed-form `ricci` builds no
+    # Christoffel array, so the loop asks for one
     for n in range(largest + 10):
-        eigenspace(AffineConnection2.type_b(c111=n + 2, c122=1, c221=1),
-                   Fraction(1, 2))
+        conn = AffineConnection2.type_b(c111=n + 2, c122=1, c221=1)
+        eigenspace(conn, Fraction(1, 2))
+        christoffel(conn)
     for fn, before in zip(caches, misses):
         info = fn.cache_info()
         assert info.maxsize is not None
@@ -255,8 +288,9 @@ def test_surface_caches_are_bounded():
 def test_surface_caches_are_bounded_after_a_warm_run():
     """The bound test holds when a connection it draws is cached first."""
     for n in (0, 7, 300):
-        eigenspace(AffineConnection2.type_b(c111=n + 2, c122=1, c221=1),
-                   Fraction(1, 2))
+        conn = AffineConnection2.type_b(c111=n + 2, c122=1, c221=1)
+        eigenspace(conn, Fraction(1, 2))
+        christoffel(conn)
     test_surface_caches_are_bounded()
 
 
