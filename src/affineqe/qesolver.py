@@ -32,9 +32,9 @@ from .funcalg import (
 )
 from .scalars import ZERO, Scalar, ScalarError, roots_of_monic
 from .surface import (
-    AffineConnection2, NormalizationRecord, RicciData, christoffel,
-    is_strongly_projectively_flat, normalize_type_b, ricci, transform,
-    type_flags,
+    AffineConnection2, NormalizationRecord, RicciData, _array, _dot,
+    christoffel, is_strongly_projectively_flat, normalize_type_b, ricci,
+    transform, type_flags,
 )
 
 
@@ -151,8 +151,7 @@ def _operator_columns(conn: AffineConnection2, mu,
     """
     mus = _mu_scalar(mu)
     r_s = ricci(conn).r_s
-    c = [[[conn.coefficient(i + 1, j + 1, k + 1) for k in (0, 1)]
-          for j in (0, 1)] for i in (0, 1)]
+    c = _array(conn)
     symbols: dict = {}
     columns = []
     for t in span_terms:
@@ -332,13 +331,13 @@ def _kernel_direction(r_s):
 
 
 def _rank1_frame(conn: AffineConnection2, ric: RicciData):
-    """Rotate so rho_11 = rho_12 = 0; then Gamma_11^2 = Gamma_12^2 = 0."""
-    k = _kernel_direction(ric.r_s)
-    u = (Scalar(1), Scalar(0))
-    det = k[0] * u[1] - k[1] * u[0]
-    if det.is_zero():
-        u = (Scalar(0), Scalar(1))
-    s_inv = ((k[0], u[0]), (k[1], u[1]))  # columns: kernel direction, complement
+    """Rotate so rho_11 = rho_12 = 0; then Gamma_11^2 = Gamma_12^2 = 0.
+    The frame (k, e_t) takes k from the kernel of r_s, so the rotated Ricci
+    tensor is the congruence (k, e_t)^T r_s (k, e_t) (the tensor law)."""
+    r = ric.r_s
+    k = _kernel_direction(r)
+    t = 1 if k[1].is_zero() else 0  # det (k, e_t) != 0
+    s_inv = ((k[0], Scalar(1 - t)), (k[1], Scalar(t)))  # columns: k, e_t
     s = _linalg.mat_inverse_2x2(s_inv)
     change = CoordinateChange((tuple(s[0]), tuple(s[1])))
     rotated = transform(conn, s)
@@ -346,10 +345,10 @@ def _rank1_frame(conn: AffineConnection2, ric: RicciData):
             and rotated.coefficient(1, 2, 2).is_zero()):
         raise SolverError("rank-1 rotation failed to clear Gamma_11^2, "
                           "Gamma_12^2")
-    rric = ricci(rotated)
-    if not (rric.r_s[0][0].is_zero() and rric.r_s[0][1].is_zero()):
+    rk = [_dot(row, k) for row in r]
+    if not (_dot(k, rk).is_zero() and rk[t].is_zero()):
         raise SolverError("rank-1 rotation failed to clear rho_11, rho_12")
-    return rotated, change, rric.r_s[1][1]
+    return rotated, change, r[t][t]
 
 
 def _exp2(a2, extra_deg2=0, coeff=1):

@@ -4,11 +4,15 @@ Type A connections have constant Christoffel symbols on R^2; Type B symbols
 are C/x1 on the half-plane x1 > 0.  Six coefficients are stored in the order
 (111, 112, 121, 122, 221, 222) for the symmetric index pairs, and everything
 downstream (Ricci tensors, classification predicates, normalizations) is
-computed exactly over the Scalar field.  Connections and derived data are
-immutable; every function here is pure.  `ricci` keeps its results for the
-last 512 connections, `normalize_type_b` for the last 256 and
-`_gamma_function` the Christoffel array of the last 64, so memory stays
-bounded over a sweep.
+computed exactly over the Scalar field, in closed form in the array
+c[i][j][k] = C_ij^k: the Ricci numerator, nabla Ricci, the staged tensor law
+of `transform` (no product with a zero factor) and the one-term Christoffel
+functions.  Connections and derived data are immutable; every function here
+is pure.  `ricci` keeps its results for the last 512 connections,
+`normalize_type_b` for the last 256 and `_gamma_function` the Christoffel
+array of the last 64, so memory stays bounded over a sweep.  The criterion-1
+sweep's rounds hold 400 connections, so most of its certificates miss that
+last cache: building an entry must stay cheap.
 """
 from __future__ import annotations
 
@@ -19,12 +23,16 @@ from functools import cached_property, lru_cache
 
 from . import _linalg
 from .funcalg import (
-    AnsatzFunction, Context, constant, input_object, monomial,
-    scalar_from_json, scalar_to_json, shift_pow1, sum_products,
+    _ZEROS, AnsatzFunction, Context, Term, input_object, scalar_from_json,
+    scalar_to_json,
 )
 from .scalars import ZERO, Scalar, ScalarError
 
 _COEFF_ORDER = ("111", "112", "121", "122", "221", "222")
+_R = (0, 1)
+_SYMMETRIC = ((0, 0), (0, 1), (1, 1))  # the pairs ij, in `coeffs` order
+_ONE = Scalar(1)
+_POW1 = {p: Scalar(p) for p in (-1, -2, -3)}
 
 
 class ConnectionError_(ValueError):
@@ -56,10 +64,7 @@ class AffineConnection2:
     # -- access ----------------------------------------------------------------
     def coefficient(self, i: int, j: int, k: int) -> Scalar:
         """Gamma_{ij}^k coefficient (for Type B, the constant over x1)."""
-        if i > j:
-            i, j = j, i
-        idx = {(1, 1): 0, (1, 2): 2, (2, 2): 4}[(i, j)] + (k - 1)
-        return self.coeffs[idx]
+        return self.coeffs[2 * (i + j) + k - 5]
 
     @property
     def context(self) -> Context:
@@ -74,21 +79,36 @@ class AffineConnection2:
         return f"AffineConnection2({self.kind}; {inner})"
 
 
+def _array(conn: AffineConnection2) -> tuple:
+    """The coefficients as c[i][j][k] = C_ij^k, 0-based; c[i][j] is c[j][i]."""
+    c = conn.coeffs
+    return (((c[0], c[1]), (c[2], c[3])), ((c[2], c[3]), (c[4], c[5])))
+
+
+def _dot(xs, ys) -> Scalar:
+    """Sum of x * y over the pairs, with no product for a zero factor."""
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            acc = acc + x * y
+    return acc
+
+
+def _one_term(c: Scalar, kind: str, pow1: int) -> AnsatzFunction:
+    """c (Type A) or c x1^pow1 (Type B), built without a check or merge."""
+    ctx = Context.TYPE_A if kind == "A" else Context.TYPE_B
+    if c.is_zero():
+        return _ZEROS[ctx]
+    t = Term(c) if kind == "A" else Term(c, ZERO, ZERO, _POW1[pow1])
+    return AnsatzFunction._canonical((t,), ctx)
+
+
 @lru_cache(maxsize=64)
 def _gamma_function(conn: AffineConnection2) -> tuple:
     """The array `christoffel(conn)`, built once per connection: one
-    function per symmetric pair ij, shared by Gamma_ij^k and Gamma_ji^k."""
-    def symbol(i, j, k):
-        c = conn.coefficient(i, j, k)
-        if conn.kind == "A":
-            return constant(c, Context.TYPE_A)
-        return monomial(Context.TYPE_B, coeff=c, pow1=-1)
-
-    planes = []
-    for k in (1, 2):
-        g11, g12, g22 = symbol(1, 1, k), symbol(1, 2, k), symbol(2, 2, k)
-        planes.append(((g11, g12), (g12, g22)))
-    return tuple(planes)
+    one-term function per pair ij, shared by Gamma_ij^k and Gamma_ji^k."""
+    g = [_one_term(c, conn.kind, -1) for c in conn.coeffs]
+    return tuple(((g[k], g[2 + k]), (g[2 + k], g[4 + k])) for k in _R)
 
 
 @dataclass(frozen=True)
@@ -114,11 +134,7 @@ class RicciData:
             for i in range(2))
 
     def _as_function(self, matrix, i, j) -> AnsatzFunction:
-        ctx = Context.TYPE_A if self.kind == "A" else Context.TYPE_B
-        f = constant(matrix[i][j], ctx)
-        if self.kind == "B":
-            f = shift_pow1(f, -2)
-        return f
+        return _one_term(matrix[i][j], self.kind, -2)
 
     @cached_property
     def rho(self):
@@ -158,59 +174,56 @@ def ricci(conn: AffineConnection2) -> RicciData:
     nabla_y nabla_x, in closed form in the six coefficients.
 
     With C_ij^k = `conn.coefficient(i, j, k)` and T_c = C_1c^1 + C_2c^2,
-    summed over a and e,
+    summed over a and e (a product with a zero factor is not formed),
 
         Type A:  rho_bc = r_bc = C_bc^e T_e - C_ac^e C_be^a,
         Type B:  rho_bc = r_bc / x1^2, where r_bc is the same sum
                  - C_bc^1, plus T_c when b = 1.
 
     This is `funcalg.contracted_ricci` for the symbols C (Type A) and C/x1
-    (Type B); the two extra Type B terms are its derivative terms.  Type
-    A's r is symmetric: swap a and e.
+    (Type B); the two extra Type B terms are its derivative terms.  The sum
+    is symmetric in b, c (swap a and e), so it is formed for b <= c only.
     """
-    C = conn.coefficient
-    trace = [C(1, c, 1) + C(2, c, 2) for c in (1, 2)]
-
-    def entry(b, c):
-        acc = ZERO
-        for e in (1, 2):
-            acc = acc + C(b, c, e) * trace[e - 1]
-            for a in (1, 2):
-                acc = acc - C(a, c, e) * C(b, e, a)
-        if conn.kind == "B":
-            acc = acc - C(b, c, 1) + (trace[c - 1] if b == 1 else ZERO)
-        return acc
-
-    return RicciData(conn.kind, tuple(tuple(entry(b, c) for c in (1, 2))
-                                      for b in (1, 2)))
+    C = _array(conn)
+    trace = [C[0][c][0] + C[1][c][1] for c in _R]
+    r = [[None, None], [None, None]]
+    for b, c in _SYMMETRIC:
+        acc = _dot(C[b][c], trace)
+        for a in _R:
+            acc = acc - _dot(C[a][c], (C[b][0][a], C[b][1][a]))
+        r[b][c] = r[c][b] = acc
+    if conn.kind == "B":
+        r = [[r[b][c] - C[b][c][0] + (trace[c] if b == 0 else ZERO)
+              for c in _R] for b in _R]
+    return RicciData(conn.kind, tuple(map(tuple, r)))
 
 
 def transform(conn: AffineConnection2, S) -> AffineConnection2:
-    """Connection in new coordinates xt = S x (exact tensor law).
+    """Connection in new coordinates xt = S x, by the exact tensor law
+    Ct_ij^k = S_km C_pq^m Sinv_pi Sinv_qj, contracted one index at a time
+    (12 + 16 + 12 products at most, none with a zero factor); the identity
+    change returns `conn` itself.
 
     For Type B the map must have the form (x1, x2) -> (x1, a x1 + b x2) so the
     C/x1 shape is preserved.
     """
     S = _linalg.mat(S)
+    if (S[0][0] == _ONE and S[1][1] == _ONE and S[0][1].is_zero()
+            and S[1][0].is_zero()):
+        return conn
     Sinv = _linalg.mat_inverse_2x2(S)
-    if conn.kind == "B":
-        if not (S[0][0] == Scalar(1) and S[0][1].is_zero()):
-            raise ConnectionError_("Type B changes must fix x1")
-    # the nonzero Gamma_pq^m as (p, q, m, Gamma_pq^m); a zero one adds the
-    # zero Scalar, which leaves the sum as it is
-    nonzero = [(p, q, m, conn.coefficient(p, q, m))
-               for p in (1, 2) for q in (1, 2) for m in (1, 2)
-               if not conn.coefficient(p, q, m).is_zero()]
-    new = {}
-    for (i, j) in ((1, 1), (1, 2), (2, 2)):
-        for k in (1, 2):
-            acc = Scalar(0)
-            for p, q, m, c in nonzero:
-                acc = acc + (S[k - 1][m - 1] * c * Sinv[p - 1][i - 1]
-                             * Sinv[q - 1][j - 1])
-            new[f"{i}{j}{k}"] = acc
+    if conn.kind == "B" and not (S[0][0] == _ONE and S[0][1].is_zero()):
+        raise ConnectionError_("Type B changes must fix x1")
+    c, col = _array(conn), tuple(zip(*Sinv))  # col[i][p] = Sinv_pi
+    up = [[None, None], [None, None]]  # up[p][q][k] = S_km C_pq^m
+    for p, q in _SYMMETRIC:
+        up[p][q] = up[q][p] = [_dot(S[k], c[p][q]) for k in _R]
+    # left[i][q][k] = Sinv_pi up[p][q][k], then Sinv_qj left[i][q][k]
+    left = [[[_dot(col[i], (up[0][q][k], up[1][q][k])) for k in _R]
+             for q in _R] for i in _R]
     return AffineConnection2(conn.kind, tuple(
-        new[key] for key in _COEFF_ORDER))
+        _dot(col[j], (left[i][0][k], left[i][1][k]))
+        for i, j in _SYMMETRIC for k in _R))
 
 
 @dataclass(frozen=True)
@@ -259,19 +272,30 @@ def normalize_type_b(conn: AffineConnection2):
     return normalized, record
 
 
-def nabla_ricci(conn: AffineConnection2):
-    """Covariant derivative (nabla rho)(i,j;k) as exact functions."""
-    rho = ricci(conn).rho
-    gamma = christoffel(conn)
-    out = {}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                pairs = ([(gamma[m][k][i], rho[m][j]) for m in range(2)]
-                         + [(gamma[m][k][j], rho[i][m]) for m in range(2)])
-                out[(i + 1, j + 1, k + 1)] = rho[i][j].derive(k + 1) - (
-                    sum_products(pairs, conn.context))
+def _nabla_numerators(conn: AffineConnection2, entries) -> list:
+    """The n_ijk of `nabla_ricci` for the (i, j, k) in `entries`."""
+    r, C, out = ricci(conn).r, _array(conn), []
+    for i, j, k in entries:
+        i, j, k = i - 1, j - 1, k - 1
+        n = -(_dot(C[k][i], (r[0][j], r[1][j])) + _dot(C[k][j], r[i]))
+        if conn.kind == "B" and k == 0:
+            n = n - (r[i][j] + r[i][j])
+        out.append(n)
     return out
+
+
+def nabla_ricci(conn: AffineConnection2):
+    """Covariant derivative (nabla rho)(i,j;k) as exact functions, in closed
+    form in the coefficients and the Ricci numerator r, summed over m:
+
+        Type A:  n_ijk = -C_ki^m r_mj - C_kj^m r_im,
+        Type B:  n_ijk / x1^3, n_ijk = -C_ki^m r_mj - C_kj^m r_im
+                 - 2 delta_k1 r_ij,
+
+    the last term being d_k of rho_ij = r_ij / x1^2."""
+    entries = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+    return {e: _one_term(n, conn.kind, -3)
+            for e, n in zip(entries, _nabla_numerators(conn, entries))}
 
 
 @dataclass(frozen=True)
@@ -292,20 +316,17 @@ def is_strongly_projectively_flat(conn: AffineConnection2) -> SPFResult:
     is reported: "Thm1.13(1)" when the surface is also Type A, else
     "Thm1.13(2)" with its parameter v = C12^2 and epsilon.
     """
+    sym = ricci(conn).is_symmetric
+    if sym:  # then nabla rho is totally symmetric when these two hold
+        a, b, c, d = _nabla_numerators(
+            conn, ((1, 2, 1), (1, 1, 2), (1, 2, 2), (2, 2, 1)))
+        sym = a == b and c == d
     if conn.kind == "A":
-        nr = nabla_ricci(conn)
-        sym = (ricci(conn).is_symmetric
-               and nr[(1, 2, 1)] == nr[(1, 1, 2)]
-               and nr[(1, 2, 2)] == nr[(2, 2, 1)])
         if not sym:
             raise ConnectionError_("Type A surfaces are strongly projectively "
                                    "flat; exact check failed")
         return SPFResult(True, "A-family")
-    ric = ricci(conn)
-    if not ric.is_symmetric:
-        return SPFResult(False)
-    nr = nabla_ricci(conn)
-    if not (nr[(1, 2, 1)] == nr[(1, 1, 2)] and nr[(1, 2, 2)] == nr[(2, 2, 1)]):
+    if not sym:
         return SPFResult(False)
     flags = type_flags(conn)
     if flags.is_also_type_a:

@@ -6,23 +6,25 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from affineqe.cli import DEFAULT_SWEEP_MUS, random_connection
+from affineqe.cli import DEFAULT_SWEEP_MUS, main, random_connection
 from affineqe.extension import (
     DeformationTensor, build_extension, conformal_einstein_residual,
     curvature4, default_probe_points, verify_theorem_1_1, _frobenius,
 )
 from affineqe.funcalg import Context, constant, exp_linear, monomial, product, to_bundle
 from affineqe.qesolver import (
-    eigenspace, jet_dimension_oracle, qe_residual, realize_real_basis,
+    SolverError, eigenspace, jet_dimension_oracle, qe_residual,
+    realize_real_basis,
 )
-from affineqe.scalars import Scalar
+from affineqe.scalars import Scalar, ScalarError
 from affineqe.surface import (
     AffineConnection2, is_strongly_projectively_flat, normalize_type_b, ricci,
-    type_flags,
+    save_connection, type_flags,
 )
 from affineqe.warp import WarpSpec, warped_einstein_report
 
@@ -72,6 +74,41 @@ def test_criterion_1_agreement(agreement_sweep):
     ok = mismatches == 0 and elapsed <= 60.0 and len(results) == 400
     _line(1, ok, f"{n} instances, {mismatches} mismatches, "
                  f"{elapsed:.1f}s (budget 60s)")
+
+
+def test_field_coefficients_agree_with_the_oracle(tmp_path, capsys):
+    """Criterion 1 off the rationals: on seeded draws with coefficients
+    k + l theta in Q(sqrt 2), Q(i) and the real cubic field of x^3 - 2, the
+    classifier's dimension equals the oracle's wherever the solver answers,
+    and wherever it refuses, `affineqe solve` exits 3 with one line."""
+    fields = {"sqrt2": Scalar.sqrt_rational(2), "i": Scalar(0, 1),
+              "cubic": Scalar.algebraic((-2, 0, 0, 1), 0)}
+    rng = random.Random(20261025)
+    path = tmp_path / "conn.json"
+    answered, refused = Counter(), Counter()
+    for n in range(120):
+        name = list(fields)[n % 3]
+        theta = fields[name]
+        conn = AffineConnection2("AB"[n // 3 % 2], tuple(
+            Scalar(rng.randint(-2, 2)) + theta * rng.choice((-1, 0, 0, 1))
+            for _ in range(6)))
+        for mu in (-1, 0, Fraction(1, 2), 1):
+            try:
+                desc = eigenspace(conn, mu)
+            except (SolverError, ScalarError):
+                save_connection(conn, path)
+                assert main(["solve", "--input", str(path), "--mu",
+                             str(mu)]) == 3, (conn, mu)
+                err = capsys.readouterr().err
+                assert err.startswith("error: unsupported input: ")
+                assert len(err.splitlines()) == 1
+                refused[name] += 1
+                continue
+            assert desc.dim == jet_dimension_oracle(conn, mu), (conn, mu)
+            answered[name] += 1
+    detail = f"answered {dict(answered)}, refused {dict(refused)}"
+    _line("1 (fields)", min(answered[f] for f in fields) >= 40
+          and min(refused[f] for f in fields) >= 10, detail)
 
 
 def test_criterion_2_thm_1_10(agreement_sweep):

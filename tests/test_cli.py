@@ -734,8 +734,7 @@ def test_verify_with_phi_file(capsys, tmp_path):
 
 
 def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "affineqe.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_cli_process("--help", timeout=60)
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
 

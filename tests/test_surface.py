@@ -6,15 +6,18 @@ import pytest
 
 from affineqe import _linalg
 from affineqe.funcalg import Context, Term, monomial
-from affineqe.scalars import Scalar
-from affineqe.qesolver import eigenspace
+from affineqe.scalars import Scalar, ScalarError
+from affineqe.qesolver import _rank1_frame, eigenspace
 from affineqe.surface import (
     AffineConnection2, _gamma_function, christoffel, connection_from_json,
     connection_to_json,
     is_strongly_projectively_flat, nabla_ricci, normalize_type_b, ricci,
     transform, type_flags,
 )
-from dense_reference import dense_ricci, dense_riemann_up
+from dense_reference import (
+    dense_nabla_ricci, dense_ricci, dense_riemann_up, dense_transform,
+    symbol_functions,
+)
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
 HYPERBOLIC = AffineConnection2.type_b(c111=-1, c122=-1, c221=1)
@@ -106,22 +109,53 @@ def test_ricci_random_vs_vectorfield_expansion():
                 assert got[i][j] == pytest.approx(expected[i][j], abs=1e-12)
 
 
+_VALUES = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 10 ** 4)
+_SMALL = (0, 1, -1, 2, Fraction(1, 2))
+# theta = 1 makes every coefficient rational
+_FIELDS = (Scalar(1), Scalar.sqrt_rational(2), Scalar(0, 1),
+           Scalar.algebraic((-2, 0, 0, 1), 0))
+
+
+def _field_scalar(rng, theta, values=_VALUES):
+    return Scalar(rng.choice(values)) + theta * rng.choice(values)
+
+
+def _field_draws(rng, count):
+    """(connection, theta): Type A and Type B in turn, two of each field in
+    turn, each coefficient a + b theta with a and b drawn from _VALUES."""
+    for i in range(count):
+        theta = _FIELDS[i // 2 % 4]
+        yield AffineConnection2("AB"[i % 2], tuple(
+            _field_scalar(rng, theta) for _ in range(6))), theta
+
+
+def _changes(rng, conn, theta):
+    """Coordinate changes xt = S x with entries a + b theta: two invertible
+    ones for Type A; for Type B two that fix x1, and the normalization's
+    scale sqrt|C22^1| when C22^1 is a nonzero rational."""
+    out = []
+    while len(out) < 2:
+        S = [[_field_scalar(rng, theta, _SMALL) for _ in range(2)]
+             for _ in range(2)]
+        if conn.kind == "B":
+            S[0] = [Scalar(1), Scalar(0)]
+        if not (S[0][0] * S[1][1] - S[0][1] * S[1][0]).is_zero():
+            out.append(S)
+    c221 = conn.coefficient(2, 2, 1)
+    if conn.kind == "B" and c221.is_rational() and not c221.is_zero():
+        scale = Scalar.sqrt_rational(abs(c221.as_fraction()))
+        out.append(((1, 0), (0, scale)))
+    return out
+
+
 def test_ricci_matches_dense_reference():
     """The closed form of `ricci` against the trace of the dense curvature of
     the Christoffel functions, on seeded Type A and Type B draws with
     rational, Q(sqrt 2), Q(i) and cubic-field coefficients.  Each entry of
     the dense Ricci tensor is zero or one term: the constant r_bc for Type
     A, r_bc / x1^2 for Type B."""
-    rng = random.Random(20261022)
-    values = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), 10 ** 4)
-    fields = (Scalar(1), Scalar.sqrt_rational(2), Scalar(0, 1),
-              Scalar.algebraic((-2, 0, 0, 1), 0))
     skew = 0
-    for i in range(64):
-        theta = fields[i // 2 % 4]
-        conn = AffineConnection2("AB"[i % 2], tuple(
-            Scalar(rng.choice(values)) + theta * rng.choice(values)
-            for _ in range(6)))
+    for conn, _ in _field_draws(random.Random(20261022), 64):
         r = ricci(conn).r
         rho = dense_ricci(dense_riemann_up(christoffel(conn)))
         pow1 = Scalar(0) if conn.kind == "A" else Scalar(-2)
@@ -134,6 +168,96 @@ def test_ricci_matches_dense_reference():
                 assert t == Term(r[b][c], pow1=pow1), conn
         skew += not ricci(conn).is_symmetric
     assert skew >= 5
+
+
+def test_closed_forms_match_dense_references():
+    """`christoffel`, `nabla_ricci`, `transform` and the rank-1 frame's
+    rho_22 against the full sums of `dense_reference`, term for term, on
+    seeded Type A and Type B draws with rational, Q(sqrt 2), Q(i) and
+    cubic-field coefficients; the Type B changes fix x1, and include the
+    irrational scale sqrt|C22^1| of the normalization."""
+    rng = random.Random(20261023)
+    changes = mixed = scales = rank1 = 0
+    for conn, theta in _field_draws(rng, 96):
+        gamma = symbol_functions(conn)
+        assert [[list(row) for row in plane]
+                for plane in christoffel(conn)] == gamma
+        rho = dense_ricci(dense_riemann_up(gamma))
+        assert nabla_ricci(conn) == dense_nabla_ricci(gamma, rho), conn
+        for S in _changes(rng, conn, theta):
+            try:
+                want = dense_transform(conn, S)
+            except ScalarError:  # a scale from another quadratic field
+                with pytest.raises(ScalarError):
+                    transform(conn, S)
+                mixed += 1
+                continue
+            assert transform(conn, S) == want, (conn, S)
+            changes += 1
+            scales += type(S) is tuple and not S[1][1].is_rational()
+        if conn.kind == "A":
+            # C11^2 = C12^2 = 0 gives rho_11 = rho_12 = 0, so rank_s <= 1;
+            # a change puts the kernel direction in general position
+            base = AffineConnection2("A", tuple(
+                Scalar(0) if n in (1, 3) else c
+                for n, c in enumerate(conn.coeffs)))
+            moved = transform(base, _changes(rng, base, theta)[0])
+            if ricci(moved).rank_s == 1:
+                rotated, _, rho22 = _rank1_frame(moved, ricci(moved))
+                r_s = ricci(rotated).r_s
+                assert r_s[0][0].is_zero() and r_s[0][1].is_zero()
+                assert r_s[1][1] == rho22
+                rank1 += 1
+    assert changes >= 150 and scales >= 3 and rank1 >= 20
+
+
+def _scalar_products(monkeypatch, thunk):
+    """The result of thunk() and the number of Scalar products it made."""
+    count = [0]
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    try:
+        out = thunk()
+    finally:
+        monkeypatch.undo()
+    return out, count[0]
+
+
+def test_transform_products_are_pinned(monkeypatch):
+    """The identity change returns its connection and makes no Scalar
+    product, so a normalized Type B connection is its own normal form; any
+    other change makes at most 12 + 16 + 12 products beyond those of the
+    2x2 inverse, where the full sum of `dense_transform` makes 144."""
+    dense = AffineConnection2.type_a(1, 2, 3, 4, 5, 6)
+    for conn in (A2, T17_2, dense):
+        same, n = _scalar_products(
+            monkeypatch, lambda: transform(conn, ((1, 0), (0, 1))))
+        assert same is conn and n == 0
+    for conn in (HYPERBOLIC, T17_1, T17_2):
+        assert normalize_type_b.__wrapped__(conn)[0] is conn
+
+    def beyond_inverse(conn, S, law=transform):
+        _, inverse = _scalar_products(
+            monkeypatch, lambda: _linalg.mat_inverse_2x2(_linalg.mat(S)))
+        out, n = _scalar_products(monkeypatch, lambda: law(conn, S))
+        return out, n - inverse
+
+    rng = random.Random(20261024)
+    for conn, theta in _field_draws(rng, 32):
+        for S in _changes(rng, conn, theta)[:2]:
+            assert beyond_inverse(conn, S)[1] <= 40
+    # every coefficient and every entry of S, Sinv and the partial sums
+    # nonzero: the bound is reached
+    S = ((2, 3), (5, 7))
+    got, n = beyond_inverse(dense, S)
+    want, full = beyond_inverse(dense, S, dense_transform)
+    assert got == want and (n, full) == (40, 144)
 
 
 def test_normalize_spec_example():
