@@ -15,8 +15,7 @@ from .surface import (
 )
 from .qesolver import (
     CoordinateChange, EigenspaceDescription,
-    eigenspace, jet_dimension_oracle, killing_stability_check,
-    nonlinear_transform, qe_residual, realize_real_basis,
+    eigenspace, jet_dimension_oracle, qe_residual, realize_real_basis,
 )
 from .extension import (
     CurvaturePack4, DeformationTensor, ExtensionMetric, build_extension,
@@ -51,9 +50,8 @@ __all__ = [
     "conformal_einstein_residual", "connection_from_json",
     "connection_to_json", "constant", "curvature4", "default_probe_points",
     "eigenspace", "exp_linear", "is_strongly_projectively_flat",
-    "jet_dimension_oracle", "killing_stability_check", "load_connection",
-    "monomial", "nonlinear_transform", "normalize_type_b", "product",
-    "qe_residual", "rank_basis", "realize_real_basis", "ricci",
+    "jet_dimension_oracle", "load_connection", "monomial", "normalize_type_b",
+    "product", "qe_residual", "rank_basis", "realize_real_basis", "ricci",
     "roots_of_monic", "save_connection", "transform", "type_flags",
     "verify_theorem_1_1", "warped_einstein_report", "x1_power",
 ]

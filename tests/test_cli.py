@@ -517,6 +517,66 @@ def test_filesystem_errors_exit_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
+# Each refusal that real input reaches, with the exit code the module
+# docstring promises: 3 for data the exact solver does not handle, 2 for a
+# malformed file or option.  (file content, command, code, message)
+_SQRT2 = {"c": [["0", "0"], ["1", "0"]], "min": ["-2", "0", "1"], "root": 1}
+REFUSALS = {
+    "conic": (
+        {"kind": "A", "coeffs": {"111": "-1", "112": "-1", "122": _SQRT2,
+                                 "221": "2", "222": "-1"}},
+        ("solve", "--mu", "-1"), 3, "conic solver needs rational data"),
+    "exponent_quadratic": (
+        {"kind": "A", "coeffs": {"111": "-2", "121": "-2", "221": ["1", "-1"],
+                                 "222": "-2"}},
+        ("solve", "--mu", "-1"), 3, "exponent quadratic needs rational data"),
+    "c221_rationality": (
+        {"kind": "B", "coeffs": {"111": "-1", "112": "-1", "121": "-2",
+                                 "122": "2", "221": _SQRT2}},
+        ("classify",), 3, "C22^1 must be rational for normalization"),
+    "flat_solver": (
+        {"kind": "A", "coeffs": {"111": _SQRT2}},
+        ("solve", "--mu", "1"), 3, "flat solver needs rational coefficients"),
+    "type_a_form": (
+        {"kind": "B", "coeffs": {"111": "1", "112": ["1", "-1"],
+                                 "122": ["0", "-1"]}},
+        ("solve", "--mu", "-1"), 3,
+        "Type-A-form solver needs rational coefficients"),
+    "malformed_file": (
+        '{"kind": "A", "coeffs": {"121": "2"',
+        ("solve", "--mu", "1"), 2, "malformed connection file"),
+    "unknown_key": (
+        {"kind": "A", "coeffs": {"121": "2"}, "extra": 1},
+        ("solve", "--mu", "1"), 2, "a connection must be an object with the "
+                                   "keys kind, coeffs? (? optional)"),
+    "unknown_coefficient": (
+        {"kind": "A", "coeffs": {"121": "2", "333": "1"}},
+        ("classify",), 2, "coeffs must be an object with the keys 111?"),
+    "points_out_of_range": (
+        {"kind": "A", "coeffs": {"121": "2", "222": "1"}},
+        ("verify", "--mu", "-1", "--points", "0"), 2,
+        "--points must be between 1 and 10000"),
+    "warp_mu_not_2_over_r": (
+        {"kind": "A", "coeffs": {"121": "2", "222": "1"}},
+        ("warp", "--mu", "3"), 2,
+        "warp needs mu = 2/r for a positive integer r, got 3"),
+}
+
+
+@pytest.mark.parametrize("content, argv, code, message",
+                         REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_exit_with_the_documented_code(capsys, tmp_path, content,
+                                                argv, code, message):
+    path = tmp_path / "conn.json"
+    path.write_text(content if isinstance(content, str)
+                    else json.dumps(content))
+    got, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err, err
+    assert err.startswith("error: unsupported input: ") == (code == 3)
+    assert len(err.splitlines()) == 1
+
+
 def test_unsupported_input_exit_3(capsys, tmp_path):
     # flat Type B with C11^1 = sqrt 2: the flat solver needs rational data
     p = tmp_path / "sqrt2.json"

@@ -12,6 +12,7 @@ from affineqe.scalars import (
     ZERO, AlgebraicContext, Scalar, ScalarError, roots_of_monic,
     squarefree_split,
 )
+import rational_kernel_check
 
 
 # The Q(i) arithmetic on (re, im) pairs of Fractions, spelled out in full:
@@ -491,6 +492,22 @@ def test_rational_fast_paths_match_general_path():
             _assert_same_scalar(a + q, a + b)
             _assert_same_scalar(p - b, a - b)
             _assert_same_scalar(q * a, a * b)
+    # the integer kernel's edge cases: two integers, equal and coprime
+    # denominators, negative operands, results that cancel to 0 and
+    # numerator products beyond 2**64
+    pairs = rational_kernel_check.kernel_pairs()
+    assert max(abs((p * q).numerator) for p, q in pairs) > 2 ** 64
+    assert any(p + q == 0 != p for p, q in pairs)
+    assert any(p == q for p, q in pairs)
+    assert any(p.denominator == q.denominator > 1 for p, q in pairs)
+    assert any(math.gcd(p.denominator, q.denominator) == 1
+               < min(p.denominator, q.denominator) for p, q in pairs)
+    assert rational_kernel_check.mismatches(pairs) == []
+    for p, q in pairs:
+        a, b = Scalar(p), Scalar(q)
+        _assert_same_scalar(a * b, make([_gq_mul(_gq(p), _gq(q))], None))
+        _assert_same_scalar(a + b, make([_gq_add(_gq(p), _gq(q))], None))
+        _assert_same_scalar(a - b, make([_gq_add(_gq(p), _gq(-q))], None))
 
 
 def test_gaussian_and_field_operands_keep_their_values():
@@ -544,15 +561,18 @@ def _fraction_op_counts(monkeypatch, thunk):
     return out, counts
 
 
-def test_rational_ops_make_one_fraction_operation(monkeypatch):
+def test_rational_ops_make_no_fraction_operation(monkeypatch):
     a, b = Scalar(Fraction(2, 3)), Scalar(Fraction(-5, 7))
     product, mul_counts = _fraction_op_counts(monkeypatch, lambda: a * b)
     total, add_counts = _fraction_op_counts(monkeypatch, lambda: a + b)
-    # one Fraction operation each, with no (re, im) pair in between
-    assert mul_counts == {"mul": 1, "add": 0, "sub": 0, "neg": 0}
-    assert add_counts == {"mul": 0, "add": 1, "sub": 0, "neg": 0}
+    difference, sub_counts = _fraction_op_counts(monkeypatch, lambda: a - b)
+    # the integer kernel works on numerators and denominators: no Fraction
+    # operator runs
+    none = {"mul": 0, "add": 0, "sub": 0, "neg": 0}
+    assert mul_counts == add_counts == sub_counts == none
     assert product == Scalar(Fraction(-10, 21))
     assert total == Scalar(Fraction(-1, 21))
+    assert difference == Scalar(Fraction(29, 21))
 
 
 def _divisors(n):
