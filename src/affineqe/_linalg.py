@@ -1,7 +1,10 @@
-"""Small exact linear algebra over Scalar fields: dense matrices are nested
-lists, and a sparse row is a {column: Scalar} dict (absent entries are zero).
-Every elimination is `add_row`, which never touches a column its row lacks,
-so columns that share no row (distinct exponentials) never interact."""
+"""Small exact linear algebra over Scalar fields: sparse elimination, and
+the 2x2 inverse of the coordinate changes.
+
+A sparse row is a {column: Scalar} dict (absent entries are zero); a dense
+matrix (`mat`, `sparse`, `mat_inverse_2x2`) is nested lists.  Every
+elimination is `add_row`, which never touches a column its row lacks, so
+columns that share no row (distinct exponentials) never interact."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -13,39 +16,10 @@ def mat(rows) -> list[list[Scalar]]:
     return [[Scalar.of(v) for v in row] for row in rows]
 
 
-def matmul(a, b):
-    out = []
-    for row in a:
-        acc = [ZERO] * len(b[0])
-        for x, brow in zip(row, b):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(brow):
-                if not y.is_zero():
-                    acc[j] = acc[j] + x * y
-        out.append(acc)
-    return out
-
-
-def matsub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def sparse(matrix) -> list[dict]:
     """The rows of a dense matrix as sparse rows."""
     return [{j: v for j, v in enumerate(row) if not v.is_zero()}
             for row in matrix]
-
-
-def vecmat(row: dict, m) -> dict:
-    """Sparse row times dense matrix (a sum that cancels stays as a zero)."""
-    out: dict = {}
-    for k, x in row.items():
-        for j, y in enumerate(m[k]):
-            if not y.is_zero():
-                v = out.get(j)
-                out[j] = x * y if v is None else v + x * y
-    return out
 
 
 def _subtract(row: dict, f: Scalar, prow: dict) -> None:

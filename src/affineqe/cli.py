@@ -11,6 +11,7 @@ sweeps emit CSV.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -18,6 +19,7 @@ import json
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 
 from .extension import (
@@ -292,43 +294,58 @@ def random_connection(kind: str, rng: random.Random, *,
         return conn
 
 
+SWEEP_FIELDS = ("kind", "c111", "c112", "c121", "c122", "c221", "c222",
+                "mu", "closed_form_dim", "oracle_dim", "agree", "case",
+                "flags")
+TIMING_FIELDS = ("eigenspace_ms", "oracle_ms")
+
+
 def _cmd_sweep(args) -> int:
     if args.count < 1:
         raise InputError(f"--count must be >= 1, got {args.count}")
     rng = random.Random(_seed(args))
     mus = ([_parse_mu(args.mu)] if args.mu
            else list(DEFAULT_SWEEP_MUS))
-    # opened before any row is computed, so an unwritable path fails fast
+    cases: collections.Counter = collections.Counter()
+    mismatches = 0
+    # opened before any row is computed, so an unwritable path fails fast;
+    # each row is written as soon as it is computed, so memory stays bounded
     out = (open(args.output, "w", newline="") if args.output
            else sys.stdout)
     try:
-        rows = []
-        all_agree = True
+        writer = csv.DictWriter(out, fieldnames=SWEEP_FIELDS + (
+            TIMING_FIELDS if args.timings else ()))
+        writer.writeheader()
         for _ in range(args.count):
             conn = random_connection(args.kind, rng, nonflat=args.nonflat)
+            coeffs = {f"c{k}": str(v.as_fraction())
+                      for k, v in conn.coeff_map().items()}
             for mu in mus:
+                start = time.perf_counter()
                 desc = eigenspace(conn, mu)
+                solved = time.perf_counter()
                 dim_oracle = jet_dimension_oracle(conn, mu)
+                done = time.perf_counter()
                 agree = desc.dim == dim_oracle
-                all_agree &= agree
-                rows.append({
-                    "kind": conn.kind,
-                    **{f"c{k}": str(v.as_fraction())
-                       for k, v in conn.coeff_map().items()},
-                    "mu": str(mu),
-                    "closed_form_dim": desc.dim,
-                    "oracle_dim": dim_oracle,
-                    "agree": agree,
-                    "case": desc.case_label,
-                    "flags": ";".join(desc.flags),
-                })
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+                mismatches += not agree
+                cases[desc.case_label] += 1
+                row = {"kind": conn.kind, **coeffs, "mu": str(mu),
+                       "closed_form_dim": desc.dim, "oracle_dim": dim_oracle,
+                       "agree": agree, "case": desc.case_label,
+                       "flags": ";".join(desc.flags)}
+                if args.timings:
+                    row["eigenspace_ms"] = f"{(solved - start) * 1e3:.3f}"
+                    row["oracle_ms"] = f"{(done - solved) * 1e3:.3f}"
+                writer.writerow(row)
     finally:
         if args.output:
             out.close()
-    return 0 if all_agree else 1
+    if args.timings:
+        print(f"sweep: {sum(cases.values())} instances, {mismatches} "
+              f"mismatches", file=sys.stderr)
+        for label, n in sorted(cases.items()):
+            print(f"  {n:7d}  {label}", file=sys.stderr)
+    return 0 if mismatches == 0 else 1
 
 
 @functools.lru_cache(maxsize=1)
@@ -402,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed_form_dim, oracle_dim, agree, case (the "
                     "classification branch), flags (semicolon separated, "
                     "e.g. eps-pairing-sensitive). Exit 0 iff every row "
-                    "agrees.")
+                    "agrees. Rows are written as they are computed.")
     p.add_argument("--kind", choices=("A", "B"), required=True)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -411,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonflat", action="store_true",
                    help="reject flat draws")
     p.add_argument("--output", help="CSV path (default stdout)")
+    p.add_argument("--timings", action="store_true",
+                   help="add the columns eigenspace_ms and oracle_ms, and "
+                        "write the instance count, the case-label counts "
+                        "and the mismatch count to stderr")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -31,7 +31,7 @@ from .funcalg import (
 )
 from .scalars import ZERO, Scalar, ScalarError, roots_of_monic
 from .surface import (
-    AffineConnection2, NormalizationRecord, RicciData, _array, _dot,
+    _ONE, AffineConnection2, NormalizationRecord, RicciData, _array, _dot,
     christoffel, is_strongly_projectively_flat, normalize_type_b, ricci,
     transform, type_flags,
 )
@@ -664,42 +664,55 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
     """Dimension of the solution space by prolongation, independent of the
     classification.
 
-    The equation is prolonged to a first-order system on (f, df).  In the
-    frame adapted to the homogeneous structure (plain derivatives for Type A;
-    x1-weighted derivatives for Type B, which makes every power of x1 match
-    automatically) the coefficient matrices are constant, the integrability
-    obstruction is a single matrix, and the answer is the dimension of the
-    largest invariant subspace it kills.
+    The equation is prolonged to a first-order system d_i F = m_i F on
+    F = (f, d1 f, d2 f).  In the frame adapted to the homogeneous structure
+    (plain derivatives for Type A; x1-weighted derivatives for Type B, which
+    makes every power of x1 match automatically) the matrices are constant:
+    m1 = [e2; p a' b; q c d'] and m2 = [e3; q c d; s e f], with
+    (p, q, s) = mu (r11, r12, r22) of r_s, (a, b, c, d, e, f) = (C11^1, C11^2,
+    C12^1, C12^2, C22^1, C22^2), e2, e3 unit rows, and a' = a + [B],
+    d' = d + [B] ([B] is 1 for Type B, 0 for Type A).  The obstruction
+    g = m2 m1 - m1 m2 - [B] m2 kills every solution's F.  Its row 0 is
+    (0, 0, d' - d - [B]) = 0, since d2 d1 f and d1 d2 f both read H12.
+    Rows 1 and 2, less [B] (q, c, d) and [B] (s, e, f), are
+
+        (c p + (d - a') q - b s,  q + c d - b e,  b (c - f) + d (d - a) - p)
+        (e p + (f - c) q - d' s,  s + c (f - c) - e (d - a),  b e - q - c d)
+
+    and a row r that kills F also kills d_i F, so its images
+
+        r m1 = (r1 p + r2 q,  r0 + r1 a' + r2 c,  r1 b + r2 d')
+        r m2 = (r1 q + r2 s,  r1 c + r2 e,  r0 + r1 d + r2 f)
+
+    do.  The answer is 3 less the rank of the rows' closure under both.
     """
     mus = _mu_scalar(mu)
     r_s = ricci(conn).r_s
-    cm = conn.coeff_map()
-    z, o = Scalar(0), Scalar(1)
-    m1 = [[z, o, z],
-          [mus * r_s[0][0], cm["111"], cm["112"]],
-          [mus * r_s[0][1], cm["121"], cm["122"]]]
-    m2 = [[z, z, o],
-          [mus * r_s[0][1], cm["121"], cm["122"]],
-          [mus * r_s[1][1], cm["221"], cm["222"]]]
-    if conn.kind == "B":  # the x1-weighted frame shifts m1's lower block
-        m1[1][1], m1[2][2] = o + m1[1][1], o + m1[2][2]
-    g = _linalg.matsub(_linalg.matmul(m2, m1), _linalg.matmul(m1, m2))
-    if conn.kind == "B":  # ... and adds -m2 to the obstruction
-        g = _linalg.matsub(g, m2)
+    p, q, s = mus * r_s[0][0], mus * r_s[0][1], mus * r_s[1][1]
+    a, b, c, d, e, f = conn.coeffs
+    a1, d1 = (a, d) if conn.kind == "A" else (a + _ONE, d + _ONE)
+    t, u = d - a, q + c * d - b * e
+    g1 = (c * p + (d - a1) * q - b * s, u, b * (c - f) + d * t - p)
+    g2 = (e * p + (f - c) * q - d1 * s, s + c * (f - c) - e * t, -u)
+    if conn.kind == "B":
+        g1 = (g1[0] - q, g1[1] - c, g1[2] - d)
+        g2 = (g2[0] - s, g2[1] - e, g2[2] - f)
     # The echelon grows to the smallest span of the obstruction rows that is
     # closed under right multiplication by m1 and m2.  The rows that add a
     # pivot span the echelon, so once the images of each of them are in it,
     # the span is closed; each round adds the images of the last round's.
     echelon: dict = {}
-    rows = _linalg.sparse(g)
+    rows = (g1, g2)
     while rows:
         added = []
         for row in rows:
-            if _linalg.add_row(echelon, row):
+            if _linalg.add_row(echelon, dict(enumerate(row))):
                 if len(echelon) == 3:
                     return 0
                 added.append(row)
-        rows = [_linalg.vecmat(row, m) for row in added for m in (m1, m2)]
+        rows = [image for r0, r1, r2 in added for image in (
+            (r1 * p + r2 * q, r0 + r1 * a1 + r2 * c, r1 * b + r2 * d1),
+            (r1 * q + r2 * s, r1 * c + r2 * e, r0 + r1 * d + r2 * f))]
     return 3 - len(echelon)
 
 

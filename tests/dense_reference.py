@@ -6,12 +6,16 @@ so one reference serves the surface (n = 2, Christoffel symbols from
 `surface.christoffel` or `symbol_functions`) and the cotangent bundle
 (n = 4, from a `CurvaturePack4`).  The arrays use the layout of `funcalg`:
 gamma[k][i][j] = Gamma_ij^k, with 0-based indices.  `dense_transform` is the
-surface's tensor law summed the same way, term by term.
+surface's tensor law summed the same way, term by term, and
+`matrix_jet_dimension` is the prolongation oracle in matrix form: the
+obstruction and its images from generic dense products.
 """
+from fractions import Fraction
+
 from affineqe import _linalg
 from affineqe.funcalg import Context, constant, monomial, product
-from affineqe.scalars import Scalar
-from affineqe.surface import AffineConnection2
+from affineqe.scalars import ZERO, Scalar
+from affineqe.surface import AffineConnection2, ricci
 
 
 def _total(fs):
@@ -88,3 +92,66 @@ def dense_transform(conn: AffineConnection2, S) -> AffineConnection2:
                                      * Sinv[p][i] * Sinv[q][j])
             coeffs.append(acc)
     return AffineConnection2(conn.kind, tuple(coeffs))
+
+
+def matmul(a, b):
+    out = []
+    for row in a:
+        acc = [ZERO] * len(b[0])
+        for x, brow in zip(row, b):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(brow):
+                if not y.is_zero():
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def matsub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def vecmat(row: dict, m) -> dict:
+    """Sparse row times dense matrix (a sum that cancels stays as a zero)."""
+    out: dict = {}
+    for k, x in row.items():
+        for j, y in enumerate(m[k]):
+            if not y.is_zero():
+                v = out.get(j)
+                out[j] = x * y if v is None else v + x * y
+    return out
+
+
+def matrix_jet_dimension(conn: AffineConnection2, mu) -> int:
+    """`jet_dimension_oracle` by matrices: the constant 3x3 system
+    d_i (f, d1 f, d2 f) = m_i (f, d1 f, d2 f), the obstruction
+    g = m2 m1 - m1 m2 (and - m2 for Type B, whose x1-weighted frame also
+    shifts m1's lower block) by dense products, and each image of a row
+    by a row-matrix product."""
+    mus = mu if isinstance(mu, Scalar) else Scalar(Fraction(mu))
+    r_s = ricci(conn).r_s
+    cm = conn.coeff_map()
+    z, o = Scalar(0), Scalar(1)
+    m1 = [[z, o, z],
+          [mus * r_s[0][0], cm["111"], cm["112"]],
+          [mus * r_s[0][1], cm["121"], cm["122"]]]
+    m2 = [[z, z, o],
+          [mus * r_s[0][1], cm["121"], cm["122"]],
+          [mus * r_s[1][1], cm["221"], cm["222"]]]
+    if conn.kind == "B":
+        m1[1][1], m1[2][2] = o + m1[1][1], o + m1[2][2]
+    g = matsub(matmul(m2, m1), matmul(m1, m2))
+    if conn.kind == "B":
+        g = matsub(g, m2)
+    echelon: dict = {}
+    rows = _linalg.sparse(g)
+    while rows:
+        added = []
+        for row in rows:
+            if _linalg.add_row(echelon, row):
+                if len(echelon) == 3:
+                    return 0
+                added.append(row)
+        rows = [vecmat(row, m) for row in added for m in (m1, m2)]
+    return 3 - len(echelon)

@@ -1,5 +1,6 @@
 import collections
 import copy
+import csv
 import functools
 import hashlib
 import json
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -233,6 +235,75 @@ def test_sweep_default_mu_grid(capsys, tmp_path):
     rows = out_path.read_text().strip().splitlines()
     assert len(rows) == 1 + 4 * 7  # header + count * default mu grid
     assert all(",True," in r for r in rows[1:])
+
+
+# sha256 of the default sweep CSVs as the sweep wrote them when it kept every
+# row until the end: the bytes must not depend on how rows are kept
+SWEEP_CSV_SHA256 = {
+    ("A", "50", "0"):
+        "c083afc686e825846523d8bade2fd124e2065cdbf6e4e765e9cae39fbb053058",
+    ("B", "50", "7"):
+        "f8294d4b37a966faa84b457a925f30f70831491e0d8fe63c35979f86819868d7",
+}
+
+
+@pytest.mark.parametrize("kind,count,seed", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csv_pinned(capsys, tmp_path, kind, count, seed):
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--kind", kind, "--count",
+                             count, "--seed", seed, "--output", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == SWEEP_CSV_SHA256[kind, count, seed]
+
+
+def test_sweep_timings(capsys, tmp_path):
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    argv = ("sweep", "--kind", "B", "--count", "6", "--seed", "7")
+    assert run_cli(capsys, *argv, "--output", str(plain)) == (0, "", "")
+    code, out, err = run_cli(capsys, *argv, "--timings", "--output",
+                             str(timed))
+    assert (code, out) == (0, "")
+    rows = list(csv.DictReader(timed.open(newline="")))
+    assert list(rows[0]) == list(cli.SWEEP_FIELDS) + ["eigenspace_ms",
+                                                      "oracle_ms"]
+    assert len(rows) == 6 * 7
+    for row in rows:
+        assert float(row.pop("eigenspace_ms")) >= 0
+        assert float(row.pop("oracle_ms")) >= 0
+    # the other columns are the default CSV's, row for row
+    assert rows == list(csv.DictReader(plain.open(newline="")))
+    # one block on stderr: the count, the mismatches, one line per label
+    head, *lines = err.splitlines()
+    assert head == "sweep: 42 instances, 0 mismatches"
+    counts = collections.Counter(row["case"] for row in rows)
+    assert lines == [f"  {n:7d}  {label}"
+                     for label, n in sorted(counts.items())]
+
+
+def test_sweep_memory_does_not_grow_with_count(tmp_path, monkeypatch):
+    # the solver is stubbed with one real answer, so that only what the
+    # sweep itself keeps per row is traced
+    desc = cli.eigenspace(HYPERBOLIC, -1)
+    monkeypatch.setattr(cli, "eigenspace", lambda conn, mu: desc)
+    monkeypatch.setattr(cli, "jet_dimension_oracle", lambda conn, mu: 3)
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--kind", "A", "--count", str(count),
+                         "--timings", "--output",
+                         str(tmp_path / "x.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the first run fills the interpreter's free lists, which tracemalloc
+    # counts as allocated
+    peak(1000)
+    small, large = peak(100), peak(1000)
+    # 6300 more rows: keeping them would add about 8 MB
+    assert large - small < 256 * 1024, (small, large)
 
 
 def test_determinism(tmp_path, hyperbolic_path):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from affineqe import _linalg, qesolver, surface
+from affineqe.cli import DEFAULT_SWEEP_MUS
 from affineqe.funcalg import (
     AnsatzFunction, Context, Point, Term, constant, exp_linear, hessian,
     monomial, product, rank_basis,
@@ -19,6 +21,7 @@ from affineqe.surface import (
     AffineConnection2, christoffel, is_strongly_projectively_flat, ricci,
     type_flags,
 )
+from dense_reference import matrix_jet_dimension
 from nonlinear_reference import killing_stability_check, nonlinear_transform
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
@@ -304,6 +307,49 @@ def test_oracle_agreement_wide_draws():
     for conn, mu in instances:
         assert eigenspace(conn, mu).dim == jet_dimension_oracle(conn, mu), (
             conn, mu)
+
+
+# the sweep's seven values of mu, plus two outside it
+ORACLE_MUS = tuple(DEFAULT_SWEEP_MUS) + (Fraction(3), Fraction(-5, 7))
+
+
+def test_oracle_matches_matrix_reference():
+    """The closed-form oracle gives the dimension of the matrix-form one on
+    seeded draws: coefficients k/d with k in [-6, 6], over Q, Q(sqrt 2),
+    Q(i) and Q(theta) with theta^3 = 2; Type A, normalized Type B (C22^1 in
+    {0, 1, -1}, C12^1 = 0 when C22^1 != 0) and Type B as drawn; each
+    connection at three values of mu drawn from ORACLE_MUS."""
+    rng = random.Random(25)
+    generators = (None, Scalar.sqrt_rational(2), Scalar(0, 1),
+                  Scalar.algebraic([-2, 0, 0, 1], 0))
+
+    def coefficient(gen):
+        if rng.random() < 0.4:
+            return Scalar(0)
+        c = Scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        if gen is not None and rng.random() < 0.5:
+            c = c + Scalar(rng.randint(-2, 2)) * gen
+        return c
+
+    dims = collections.Counter()
+    for n in range(120):
+        kind = "AB"[n % 3 != 0]
+        coeffs = [coefficient(generators[n % 4]) for _ in range(6)]
+        if n % 3 == 1:  # normalized Type B
+            coeffs[4] = Scalar(rng.choice((-1, 0, 1)))
+            if not coeffs[4].is_zero():
+                coeffs[2] = Scalar(0)
+            elif rng.random() < 0.5:
+                # C12^1 = C22^2 makes r22 = 0: the family where a solution
+                # space at mu = -1 can need the f entry of an image
+                coeffs[2] = coeffs[5]
+        conn = AffineConnection2(kind, tuple(coeffs))
+        for mu in rng.sample(ORACLE_MUS, 3):
+            dim = jet_dimension_oracle(conn, mu)
+            assert dim == matrix_jet_dimension(conn, mu), (conn, mu)
+            dims[dim] += 1
+    # every answer occurs, so no branch of the oracle goes untested
+    assert min(dims[d] for d in range(4)) >= 20, dims
 
 
 def test_realize_real_basis():
