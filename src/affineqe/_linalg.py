@@ -1,10 +1,11 @@
-"""Small exact linear algebra over Scalar fields: sparse elimination, and
-the 2x2 inverse of the coordinate changes.
+"""Small exact linear algebra over Scalar fields: the sparse elimination of
+the span solves and `funcalg.rank_basis`, and the 2x2 inverse of the
+coordinate changes.  The prolongation oracle has its own.
 
 A sparse row is a {column: Scalar} dict (absent entries are zero); a dense
-matrix (`mat`, `sparse`, `mat_inverse_2x2`) is nested lists.  Every
-elimination is `add_row`, which never touches a column its row lacks, so
-columns that share no row (distinct exponentials) never interact."""
+matrix (`mat`, `mat_inverse_2x2`) is nested lists.  Every elimination is
+`add_row`, which never touches a column its row lacks, so columns that share
+no row (distinct exponentials) never interact."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -14,12 +15,6 @@ from .scalars import Scalar, ZERO
 
 def mat(rows) -> list[list[Scalar]]:
     return [[Scalar.of(v) for v in row] for row in rows]
-
-
-def sparse(matrix) -> list[dict]:
-    """The rows of a dense matrix as sparse rows."""
-    return [{j: v for j, v in enumerate(row) if not v.is_zero()}
-            for row in matrix]
 
 
 def _subtract(row: dict, f: Scalar, prow: dict) -> None:

@@ -614,14 +614,6 @@ def _eval_plan(nested):
     return functions, index(nested)
 
 
-def shift_pow1(f: AnsatzFunction, delta) -> AnsatzFunction:
-    """Multiply by x1^delta (delta exact); used for the 1/x1 Christoffel scale."""
-    d = Scalar.of(delta)
-    return AnsatzFunction(
-        [Term(t.coeff, t.exp1, t.exp2, t.pow1 + d, t.logdeg, t.deg2,
-              t.fiberdeg1, t.fiberdeg2) for t in f.terms], f.context)
-
-
 def to_bundle(f: AnsatzFunction) -> AnsatzFunction:
     """Pull a surface function back to the cotangent bundle (same terms)."""
     if f.context is Context.FOURD:

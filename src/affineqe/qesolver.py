@@ -1,21 +1,20 @@
 """Solution spaces of the quasi-Einstein equation H f = mu f rho_s.
 
 The classifier (`eigenspace`) walks the closed-form case tree for Type A and
-Type B surfaces and returns exact bases built from the case-specific ansatz
+Type B surfaces and returns exact bases from the case-specific ansatz
 constructions.  Where a case gives a finite span of exponential-polynomial
-(Type A) or power-log (Type B) monomials instead of a basis, `_solve_span`
-solves the operator's closed-form action on those monomials by one sparse
-elimination, in which monomials with distinct exponentials never meet; most
-spans grow in degree only until the kernel reaches the theorem's dimension.
-Either way, `eigenspace` certifies the basis it returns once, in the
-coordinates it returns it in, by `_certify`: an exact residual check through
-`qe_residual`, which does not use the closed-form rows, and an independence
-check.
-`jet_dimension_oracle` computes the same dimension by a completely separate
-route (prolongation to a first-order system and stabilization of the
-integrability obstruction), which is what the acceptance sweeps compare
-against.  Everything is pure and instances are independent, so sweeps over
-(connection, mu) grids parallelize with no shared state.
+(Type A) or power-log (Type B) monomials instead, `_solve_span` solves the
+operator's closed-form action on them by one sparse elimination, in which
+distinct exponentials never meet; most spans grow in degree only until the
+kernel reaches the theorem's dimension.  `eigenspace` certifies each basis
+once, in the coordinates it returns it in (`_certify`: an exact residual
+check through `qe_residual`, which does not use the closed-form rows, and an
+independence check).  `jet_dimension_oracle` computes the same dimension by
+a separate route, which the acceptance sweeps compare against: prolongation
+to a first-order system and stabilization of its integrability obstruction,
+ranked by its own fraction-free elimination, so it shares no elimination
+code with the classifier.  Everything is pure and instances are independent,
+so sweeps over (connection, mu) grids parallelize with no shared state.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from .funcalg import (
 )
 from .scalars import ZERO, Scalar, ScalarError, roots_of_monic
 from .surface import (
-    _ONE, AffineConnection2, NormalizationRecord, RicciData, _array, _dot,
+    AffineConnection2, NormalizationRecord, RicciData, _array, _dot,
     christoffel, is_strongly_projectively_flat, normalize_type_b, ricci,
     transform, type_flags,
 )
@@ -664,17 +663,16 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
     """Dimension of the solution space by prolongation, independent of the
     classification.
 
-    The equation is prolonged to a first-order system d_i F = m_i F on
-    F = (f, d1 f, d2 f).  In the frame adapted to the homogeneous structure
-    (plain derivatives for Type A; x1-weighted derivatives for Type B, which
-    makes every power of x1 match automatically) the matrices are constant:
-    m1 = [e2; p a' b; q c d'] and m2 = [e3; q c d; s e f], with
-    (p, q, s) = mu (r11, r12, r22) of r_s, (a, b, c, d, e, f) = (C11^1, C11^2,
-    C12^1, C12^2, C22^1, C22^2), e2, e3 unit rows, and a' = a + [B],
+    The equation is prolonged to d_i F = m_i F on F = (f, d1 f, d2 f).  In
+    the frame of the homogeneous structure (plain derivatives for Type A;
+    x1-weighted ones for Type B, which match every power of x1) the matrices
+    are constant: m1 = [e2; p a' b; q c d'] and m2 = [e3; q c d; s e f],
+    with (p, q, s) = mu (r11, r12, r22) of r_s, (a, b, c, d, e, f) = (C11^1,
+    C11^2, C12^1, C12^2, C22^1, C22^2), e2, e3 unit rows, a' = a + [B] and
     d' = d + [B] ([B] is 1 for Type B, 0 for Type A).  The obstruction
-    g = m2 m1 - m1 m2 - [B] m2 kills every solution's F.  Its row 0 is
-    (0, 0, d' - d - [B]) = 0, since d2 d1 f and d1 d2 f both read H12.
-    Rows 1 and 2, less [B] (q, c, d) and [B] (s, e, f), are
+    g = m2 m1 - m1 m2 - [B] m2 kills every solution's F.  Its row 0 is zero
+    (d2 d1 f and d1 d2 f both read H12); rows 1 and 2, less [B] (q, c, d)
+    and [B] (s, e, f), are
 
         (c p + (d - a') q - b s,  q + c d - b e,  b (c - f) + d (d - a) - p)
         (e p + (f - c) q - d' s,  s + c (f - c) - e (d - a),  b e - q - c d)
@@ -685,35 +683,47 @@ def jet_dimension_oracle(conn: AffineConnection2, mu) -> int:
         r m2 = (r1 q + r2 s,  r1 c + r2 e,  r0 + r1 d + r2 f)
 
     do.  The answer is 3 less the rank of the rows' closure under both.
+    Over rational data, with l the lcm of the nine denominators of p, ...,
+    f, the values x l ([B] becomes l), the obstruction rows x l^2 and the
+    images x l are ints (field data keeps Scalars, with l = 1).  Each new row
+    is cleared fraction-free, with no inverse and no back-reduction, against
+    each earlier pivot row: row <- piv row - row[col] prow (Bareiss, 1968).
     """
-    mus = _mu_scalar(mu)
-    r_s = ricci(conn).r_s
-    p, q, s = mus * r_s[0][0], mus * r_s[0][1], mus * r_s[1][1]
-    a, b, c, d, e, f = conn.coeffs
-    a1, d1 = (a, d) if conn.kind == "A" else (a + _ONE, d + _ONE)
-    t, u = d - a, q + c * d - b * e
-    g1 = (c * p + (d - a1) * q - b * s, u, b * (c - f) + d * t - p)
-    g2 = (e * p + (f - c) * q - d1 * s, s + c * (f - c) - e * t, -u)
+    r_s, mus, l = ricci(conn).r_s, _mu_scalar(mu), 1
+    values = (mus * r_s[0][0], mus * r_s[0][1], mus * r_s[1][1], *conn.coeffs)
+    if all(v.is_rational() for v in values):
+        values = [v.as_fraction() for v in values]
+        l = math.lcm(*(x.denominator for x in values))
+        values = [x.numerator * (l // x.denominator) for x in values]
+    p, q, s, a, b, c, d, e, f = values
+    a1, d1 = (a, d) if conn.kind == "A" else (a + l, d + l)
+    t, u = d - a, q * l + c * d - b * e
+    g1 = (c * p + (d - a1) * q - b * s, u, b * (c - f) + d * t - p * l)
+    g2 = (e * p + (f - c) * q - d1 * s, s * l + c * (f - c) - e * t, -u)
     if conn.kind == "B":
-        g1 = (g1[0] - q, g1[1] - c, g1[2] - d)
-        g2 = (g2[0] - s, g2[1] - e, g2[2] - f)
-    # The echelon grows to the smallest span of the obstruction rows that is
-    # closed under right multiplication by m1 and m2.  The rows that add a
-    # pivot span the echelon, so once the images of each of them are in it,
-    # the span is closed; each round adds the images of the last round's.
-    echelon: dict = {}
+        g1 = (g1[0] - q * l, g1[1] - c * l, g1[2] - d * l)
+        g2 = (g2[0] - s * l, g2[1] - e * l, g2[2] - f * l)
+    # The rows that add a pivot span the echelon, so it is closed under m1
+    # and m2 once their images are in it: a round takes the last one's.
+    pivots: list = []  # (col, row[col], row), row 0 at earlier pivots' cols
     rows = (g1, g2)
     while rows:
         added = []
         for row in rows:
-            if _linalg.add_row(echelon, dict(enumerate(row))):
-                if len(echelon) == 3:
+            cleared = row
+            for col, piv, prow in pivots:
+                if not (x := cleared[col]) == 0:
+                    cleared = [piv * v - x * w for v, w in zip(cleared, prow)]
+            col = next((k for k in range(3) if not cleared[k] == 0), None)
+            if col is not None:
+                pivots.append((col, cleared[col], cleared))
+                if len(pivots) == 3:
                     return 0
                 added.append(row)
         rows = [image for r0, r1, r2 in added for image in (
-            (r1 * p + r2 * q, r0 + r1 * a1 + r2 * c, r1 * b + r2 * d1),
-            (r1 * q + r2 * s, r1 * c + r2 * e, r0 + r1 * d + r2 * f))]
-    return 3 - len(echelon)
+            (r1 * p + r2 * q, r0 * l + r1 * a1 + r2 * c, r1 * b + r2 * d1),
+            (r1 * q + r2 * s, r1 * c + r2 * e, r0 * l + r1 * d + r2 * f))]
+    return 3 - len(pivots)
 
 
 # ---------------------------------------------------------------------------

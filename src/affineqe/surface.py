@@ -158,7 +158,10 @@ class RicciData:
 
     @cached_property
     def rank_s(self) -> int:
-        return _linalg.rank(_linalg.sparse(self.r_s))
+        (r11, r12), (_, r22) = self.r_s
+        if r11.is_zero() and r12.is_zero() and r22.is_zero():
+            return 0
+        return 1 if r11 * r22 == r12 * r12 else 2
 
 
 def christoffel(conn: AffineConnection2) -> tuple:

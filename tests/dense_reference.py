@@ -112,6 +112,12 @@ def matsub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def sparse(matrix) -> list[dict]:
+    """The rows of a dense matrix as `_linalg`'s sparse rows."""
+    return [{j: v for j, v in enumerate(row) if not v.is_zero()}
+            for row in matrix]
+
+
 def vecmat(row: dict, m) -> dict:
     """Sparse row times dense matrix (a sum that cancels stays as a zero)."""
     out: dict = {}
@@ -145,7 +151,7 @@ def matrix_jet_dimension(conn: AffineConnection2, mu) -> int:
     if conn.kind == "B":
         g = matsub(g, m2)
     echelon: dict = {}
-    rows = _linalg.sparse(g)
+    rows = sparse(g)
     while rows:
         added = []
         for row in rows:

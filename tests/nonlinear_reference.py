@@ -14,14 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from affineqe.funcalg import (
-    AnsatzFunction, Context, Point, hessian, monomial, product, rank_basis,
-    shift_pow1,
+    AnsatzFunction, Context, Point, Term, hessian, monomial, product,
+    rank_basis,
 )
 from affineqe.qesolver import (
     EigenspaceDescription, _all_zero, potential_residual_at,
 )
 from affineqe.scalars import Scalar
 from affineqe.surface import AffineConnection2, christoffel, ricci
+
+
+def shift_pow1(f: AnsatzFunction, delta) -> AnsatzFunction:
+    """Multiply by x1^delta (delta exact)."""
+    d = Scalar.of(delta)
+    return AnsatzFunction(
+        [Term(t.coeff, t.exp1, t.exp2, t.pow1 + d, t.logdeg, t.deg2,
+              t.fiberdeg1, t.fiberdeg2) for t in f.terms], f.context)
 
 
 @dataclass(frozen=True)

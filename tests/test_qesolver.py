@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -313,12 +314,12 @@ def test_oracle_agreement_wide_draws():
 ORACLE_MUS = tuple(DEFAULT_SWEEP_MUS) + (Fraction(3), Fraction(-5, 7))
 
 
-def test_oracle_matches_matrix_reference():
-    """The closed-form oracle gives the dimension of the matrix-form one on
-    seeded draws: coefficients k/d with k in [-6, 6], over Q, Q(sqrt 2),
-    Q(i) and Q(theta) with theta^3 = 2; Type A, normalized Type B (C22^1 in
-    {0, 1, -1}, C12^1 = 0 when C22^1 != 0) and Type B as drawn; each
-    connection at three values of mu drawn from ORACLE_MUS."""
+def _oracle_reference_draws():
+    """Seeded (connection, mu) draws: coefficients k/d with k in [-6, 6],
+    over Q, Q(sqrt 2), Q(i) and Q(theta) with theta^3 = 2; Type A,
+    normalized Type B (C22^1 in {0, 1, -1}, C12^1 = 0 when C22^1 != 0) and
+    Type B as drawn; each connection at three values of mu drawn from
+    ORACLE_MUS."""
     rng = random.Random(25)
     generators = (None, Scalar.sqrt_rational(2), Scalar(0, 1),
                   Scalar.algebraic([-2, 0, 0, 1], 0))
@@ -331,7 +332,7 @@ def test_oracle_matches_matrix_reference():
             c = c + Scalar(rng.randint(-2, 2)) * gen
         return c
 
-    dims = collections.Counter()
+    draws = []
     for n in range(120):
         kind = "AB"[n % 3 != 0]
         coeffs = [coefficient(generators[n % 4]) for _ in range(6)]
@@ -344,12 +345,106 @@ def test_oracle_matches_matrix_reference():
                 # space at mu = -1 can need the f entry of an image
                 coeffs[2] = coeffs[5]
         conn = AffineConnection2(kind, tuple(coeffs))
-        for mu in rng.sample(ORACLE_MUS, 3):
+        draws.extend((conn, mu) for mu in rng.sample(ORACLE_MUS, 3))
+    return draws
+
+
+def _coprime_fraction(rng, bound):
+    """k/d with |k| <= bound and 1 < d <= bound coprime to k."""
+    while True:
+        x = Fraction(rng.randint(-bound, bound), rng.randint(2, bound))
+        if x.denominator > 1:
+            return x
+
+
+def _large_denominator_draws():
+    """Seeded rational (connection, mu) draws whose coefficients and mu
+    have coprime denominators up to 10^6.  Each connection is a small draw,
+    shaped as in `_oracle_reference_draws`, moved by a coordinate change
+    with such entries (any invertible one for Type A, (x1, a x1 + b x2) for
+    Type B), which keeps the dimension, so every answer occurs; mu is two
+    of ORACLE_MUS and one drawn value."""
+    rng = random.Random(26)
+    draws = []
+    for n in range(150):
+        kind = "AB"[n % 3 != 0]
+        coeffs = [Fraction(0) if rng.random() < 0.4
+                  else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                  for _ in range(6)]
+        if n % 3 == 1:  # normalized Type B
+            coeffs[4] = Fraction(rng.choice((-1, 0, 1)))
+            if coeffs[4]:
+                coeffs[2] = Fraction(0)
+            elif rng.random() < 0.5:
+                coeffs[2] = coeffs[5]
+        if kind == "A":
+            s = [[_coprime_fraction(rng, 10**6) for _ in range(2)]
+                 for _ in range(2)]
+            assert s[0][0] * s[1][1] != s[0][1] * s[1][0]
+        else:
+            s = [[1, 0], [_coprime_fraction(rng, 10**6),
+                          _coprime_fraction(rng, 10**6)]]
+        conn = surface.transform(AffineConnection2(kind, tuple(coeffs)), s)
+        mus = rng.sample(ORACLE_MUS, 2) + [_coprime_fraction(rng, 10**6)]
+        draws.extend((conn, mu) for mu in mus)
+    return draws
+
+
+def test_oracle_matches_matrix_reference():
+    """The closed-form oracle gives the dimension of the matrix-form one on
+    the seeded draws of `_oracle_reference_draws`, and on the rational
+    draws of `_large_denominator_draws`, which it clears of denominators."""
+    for draws in (_oracle_reference_draws(), _large_denominator_draws()):
+        dims = collections.Counter()
+        for conn, mu in draws:
             dim = jet_dimension_oracle(conn, mu)
             assert dim == matrix_jet_dimension(conn, mu), (conn, mu)
             dims[dim] += 1
-    # every answer occurs, so no branch of the oracle goes untested
-    assert min(dims[d] for d in range(4)) >= 20, dims
+        # every answer occurs, so no branch of the oracle goes untested
+        assert min(dims[d] for d in range(4)) >= 20, dims
+
+
+def test_oracle_shares_no_elimination(monkeypatch):
+    """The oracle answers every reference draw with `_linalg.add_row` and
+    `Scalar.inverse` made to raise: it takes no field inverse and shares no
+    elimination with the classifier."""
+    draws = _oracle_reference_draws()
+    want = [matrix_jet_dimension(conn, mu) for conn, mu in draws]
+
+    def forbidden(*args):
+        raise AssertionError("the oracle must not call this")
+
+    monkeypatch.setattr(_linalg, "add_row", forbidden)
+    monkeypatch.setattr(Scalar, "inverse", forbidden)
+    surface.ricci.cache_clear()  # r_s is then built under the patch too
+    assert [jet_dimension_oracle(conn, mu) for conn, mu in draws] == want
+
+
+def test_oracle_cost_is_bounded_on_long_rationals():
+    """The elimination divides nothing, so its integers grow with each
+    clearing; on 60 connections whose coefficients have 100-digit
+    numerators and denominators, at mu = -1 and at a 100-digit mu, every
+    call stays far under half a second (a few ms when this was written)."""
+    rng = random.Random(100)
+
+    def long_fraction():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(10**99, 10**100),
+                        rng.randrange(10**99, 10**100))
+
+    mus = (Fraction(-1), long_fraction())
+    for n in range(60):
+        coeffs = [Fraction(0) if rng.random() < 0.3 else long_fraction()
+                  for _ in range(6)]
+        if n % 3 == 1:  # normalized Type B
+            coeffs[4] = Fraction(rng.choice((-1, 0, 1)))
+            if coeffs[4]:
+                coeffs[2] = Fraction(0)
+        conn = AffineConnection2("AB"[n % 3 != 0], tuple(coeffs))
+        for mu in mus:
+            start = time.perf_counter()
+            dim = jet_dimension_oracle(conn, mu)
+            assert time.perf_counter() - start < 0.5, (conn, mu)
+            assert dim == matrix_jet_dimension(conn, mu), (conn, mu)
 
 
 def test_realize_real_basis():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from affineqe.surface import (
     transform, type_flags,
 )
 from dense_reference import (
-    dense_nabla_ricci, dense_ricci, dense_riemann_up, dense_transform,
+    dense_nabla_ricci, dense_ricci, dense_riemann_up, dense_transform, sparse,
     symbol_functions,
 )
 
@@ -41,7 +42,7 @@ def symmetry_obstructions_type_b(conn: AffineConnection2):
 
 def ricci_rank(conn) -> int:
     """Rank of the Ricci matrix r itself (not of its symmetric part)."""
-    return _linalg.rank(_linalg.sparse(ricci(conn).r))
+    return _linalg.rank(sparse(ricci(conn).r))
 
 
 def rmat(conn):
@@ -354,6 +355,40 @@ def test_also_type_a_has_rank_le_1():
             c122=rng.randint(-3, 3))
         assert type_flags(conn).is_also_type_a
         assert ricci_rank(conn) <= 1
+
+
+def test_rank_s_closed_form_matches_elimination():
+    """`RicciData.rank_s` (0 for a zero r_s, 1 for a zero determinant, else
+    2) is the rank the generic sparse elimination gives r_s, on seeded
+    draws over Q, Q(sqrt 2), Q(i) and Q(theta) with theta^3 = 2, of both
+    kinds: as drawn, with C11^2 = C12^2 = 0, and with only C11^1 and C12^2
+    left, so that every rank occurs."""
+    rng = random.Random(26)
+    generators = (None, Scalar.sqrt_rational(2), Scalar(0, 1),
+                  Scalar.algebraic([-2, 0, 0, 1], 0))
+
+    def coefficient(gen):
+        if rng.random() < 0.5:
+            return Scalar(0)
+        c = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        if gen is not None and rng.random() < 0.5:
+            c = c + Scalar(rng.randint(-2, 2)) * gen
+        return c
+
+    zero = Scalar(0)
+    ranks = collections.Counter()
+    for n in range(240):
+        coeffs = [coefficient(generators[n % 4]) for _ in range(6)]
+        shape = n // 2 % 3
+        if shape == 1:
+            coeffs[1] = coeffs[3] = zero
+        elif shape == 2:
+            coeffs = [coeffs[0], zero, zero, coeffs[3], zero, zero]
+        conn = AffineConnection2("AB"[n % 2], tuple(coeffs))
+        ric = ricci(conn)
+        assert ric.rank_s == _linalg.rank(sparse(ric.r_s)), conn
+        ranks[ric.rank_s] += 1
+    assert min(ranks[k] for k in range(3)) >= 20, ranks
 
 
 def test_symmetric_ricci_data_is_shared():
