@@ -23,7 +23,7 @@ from .extension import (
     verify_theorem_1_1,
 )
 from .report import CheckResult, VerificationReport
-from .warp import WarpSpec, warped_einstein_report
+from .warp import warped_einstein_report
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "CoordinateChange", "CurvaturePack4", "DeformationTensor", "DomainError",
     "EigenspaceDescription", "ExtensionMetric", "FunctionAlgebraError",
     "NormalizationRecord", "Point", "RicciData", "Scalar", "Term", "TypeFlags",
-    "VerificationReport", "WarpSpec", "build_extension", "cache_stats",
+    "VerificationReport", "build_extension", "cache_stats",
     "conformal_einstein_residual", "connection_from_json",
     "connection_to_json", "constant", "curvature4", "default_probe_points",
     "eigenspace", "exp_linear", "is_strongly_projectively_flat",

@@ -37,7 +37,7 @@ from .surface import (
     AffineConnection2, connection_to_json, ricci,
     is_strongly_projectively_flat, load_connection, scalar_str, type_flags,
 )
-from .warp import WarpSpec, warped_einstein_report
+from .warp import warped_einstein_report
 
 
 # the most probe points one command builds, so that memory stays bounded
@@ -231,10 +231,10 @@ def _cmd_verify(args) -> int:
     phi = _load_phi(args.phi, conn.context)
     points = default_probe_points(_seed(args), args.points)
     f, desc = _pick_solution(conn, mu, points, args.f_index)
-    metric = build_extension(conn, phi) if mu == -1 else None
-    report = verify_theorem_1_1(conn, phi, mu, f, points, metric)
+    metric = build_extension(conn, phi)
+    report = verify_theorem_1_1(metric, mu, f, points)
     report.metadata["case"] = desc.case_label
-    if metric is not None:
+    if mu == -1:
         try:
             residual = conformal_einstein_residual(metric, f, points)
             report.add("conformally_einstein", residual, 1e-8)
@@ -250,12 +250,10 @@ def _cmd_warp(args) -> int:
     if mu <= 0 or Fraction(2, 1) / mu != int(Fraction(2, 1) / mu):
         raise InputError(f"warp needs mu = 2/r for a positive integer r, "
                          f"got {mu}")
-    r = int(Fraction(2, 1) / mu)
     phi = _load_phi(args.phi, conn.context)
     points = default_probe_points(_seed(args), args.points)
     f, desc = _pick_solution(conn, mu, points, args.f_index)
-    spec = WarpSpec(build_extension(conn, phi), f, mu, r)
-    report = warped_einstein_report(spec, points)
+    report = warped_einstein_report(build_extension(conn, phi), mu, f, points)
     report.metadata["case"] = desc.case_label
     by_name = {c.name: c for c in report.checks}
     payload = report.to_dict()

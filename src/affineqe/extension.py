@@ -63,10 +63,6 @@ class DeformationTensor:
     def context(self) -> Context:
         return self.phi11.context
 
-    def to_json(self):
-        return {"phi11": self.phi11.to_json(), "phi12": self.phi12.to_json(),
-                "phi22": self.phi22.to_json()}
-
     @classmethod
     def from_json(cls, data, context: Context) -> "DeformationTensor":
         keys = ("phi11", "phi12", "phi22")
@@ -347,14 +343,10 @@ def default_probe_points(seed: int = 0, count: int = 10) -> list:
 
 # -- theorem verification -----------------------------------------------------
 
-def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
-                       points=None,
-                       metric: ExtensionMetric | None = None
-                       ) -> VerificationReport:
-    """Check the quasi-Einstein package of the extension metric.
-
-    `metric` is `build_extension(conn, phi)` when the caller has built it
-    already; otherwise it is built here, once the precondition holds.
+def verify_theorem_1_1(metric: ExtensionMetric, mu, f: AnsatzFunction,
+                       points=None) -> VerificationReport:
+    """Check the quasi-Einstein package of the extension metric over the
+    surface solution f of H f = mu f rho_s on `metric.conn`.
 
     (i) quasi-Einstein with lambda = 0 and bundle eigenvalue mu/2 (for
     mu != 0 via the equivalent exact linear identity H_g(pi*f) =
@@ -363,6 +355,7 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     vanishes; (iv) rho_g = 2 pi* rho_s.
     """
     mu = Fraction(mu)
+    conn = metric.conn
     if points is None:
         points = default_probe_points()
     report = VerificationReport([], {
@@ -372,8 +365,6 @@ def verify_theorem_1_1(conn: AffineConnection2, phi, mu, f: AnsatzFunction,
     report.add("precondition_qe_residual", pre, 0.0)
     if pre:
         return report
-    if metric is None:
-        metric = build_extension(conn, phi)
     pack = curvature4(metric)
     w = to_bundle(f)
 

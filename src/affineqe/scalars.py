@@ -279,6 +279,8 @@ class Scalar:
 
     @staticmethod
     def of(value) -> "Scalar":
+        if type(value) is int:  # not a bool: that takes the checks below
+            return _ratio(value, 1)
         return value if isinstance(value, Scalar) else Scalar(value)
 
     @staticmethod

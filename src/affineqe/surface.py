@@ -238,10 +238,6 @@ class NormalizationRecord:
     epsilon: int | None
 
     @property
-    def is_identity(self) -> bool:
-        return self.scale == Scalar(1) and self.shear.is_zero()
-
-    @property
     def matrix(self):
         # combined map: xt = (x1, shear*x1 + scale*x2)
         return ((Scalar(1), Scalar(0)), (self.shear, self.scale))

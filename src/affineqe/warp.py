@@ -6,15 +6,16 @@ rho_N - (r/phi) Hess phi = lambda g_N, and
 mu_E(p) = phi Lap phi + (r-1) |grad phi|^2 + lambda phi^2 must be constant;
 mu_E is then the Einstein constant the r-dimensional fiber has to carry.
 
-For an extension metric fed from a surface solution f of H f = mu f rho_s the
-warp function is exactly phi = pi*f (since mu_N = mu/2 = 1/r), so everything
-stays inside the term algebra.  The general formula for mu_E is kept even
-though isotropy makes the gradient term vanish here.
+An extension metric fed from a surface solution f of H f = mu f rho_s is
+quasi-Einstein with lambda = 0 and mu_N = mu/2 (Theorem 1.1), so the fiber
+dimension is derived, r = 2/mu, and the warp function is exactly phi = pi*f
+(since 2/(mu r) = 1): everything stays inside the term algebra.  The general
+formula for mu_E is kept even though isotropy makes the gradient term vanish
+here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .extension import (
@@ -26,64 +27,38 @@ from .funcalg import (
 )
 from .qesolver import is_solution
 from .report import VerificationReport, fmt_float
-from .scalars import Scalar
 
 
 class WarpError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WarpSpec:
-    metric: ExtensionMetric
-    f: AnsatzFunction  # surface solution of H f = mu f rho_s, positive on probes
-    mu: Fraction
-    r: int
-    lam: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.r < 1:
-            raise WarpError("fiber dimension r must be a positive integer")
-        if Fraction(self.mu, 2) != Fraction(1, self.r):
-            raise WarpError(
-                f"need mu_N = mu/2 = 1/r, got mu = {self.mu}, r = {self.r}")
-
-    @property
-    def phi(self) -> AnsatzFunction:
-        """Warp function e^{-F/r} = pi*f (exact, since 2/(mu r) = 1)."""
-        return to_bundle(self.f)
-
-
-def warped_einstein_report(spec: WarpSpec, points=None, *,
+def warped_einstein_report(metric: ExtensionMetric, mu, f: AnsatzFunction,
+                           points=None, *,
                            phi: AnsatzFunction | None = None
                            ) -> VerificationReport:
-    """Base condition and fiber-constant report; `phi` overrides the warp
-    function (used by negative controls with a corrupted potential)."""
+    """Base condition and fiber-constant report of `metric` over the
+    surface solution f of H f = mu f rho_s, positive on the probes, with
+    fiber dimension r = 2/mu; `phi` overrides the warp function pi*f (used
+    by negative controls with a corrupted potential)."""
+    mu = Fraction(mu)
+    if mu <= 0 or (2 / mu).denominator != 1:
+        raise WarpError(f"need mu = 2/r for a positive integer r, got {mu}")
+    r = (2 / mu).numerator
     if points is None:
         points = default_probe_points()
-    report = VerificationReport([], {
-        "mu": str(spec.mu), "r": spec.r, "lambda": str(spec.lam)})
-    pre = 0.0 if is_solution(spec.metric.conn, spec.mu, spec.f) else 1.0
+    report = VerificationReport([], {"mu": str(mu), "r": r, "lambda": "0"})
+    pre = 0.0 if is_solution(metric.conn, mu, f) else 1.0
     report.add("precondition_qe_residual", pre, 0.0)
     if pre:
         return report
-    pack = curvature4(spec.metric)
-    warp_fn = spec.phi if phi is None else phi
+    pack = curvature4(metric)
+    warp_fn = to_bundle(f) if phi is None else phi
     hphi = pack.hessian(warp_fn)
-    # base condition, cleared of the 1/phi: r*Hess(phi) - phi*rho + lam*phi*g
-    lam = Scalar(spec.lam)
-    sym_ok = True
-    for a in range(4):
-        for b in range(4):
-            entry = (hphi[a][b].scale(spec.r)
-                     - product(warp_fn, pack.ricci[a][b]))
-            if spec.lam:
-                entry = entry + product(warp_fn,
-                                        spec.metric.g[a][b]).scale(lam)
-            if not entry.is_zero():
-                sym_ok = False
+    # base condition, cleared of the 1/phi: r*Hess(phi) - phi*rho
+    sym_ok = all((hphi[a][b].scale(r)
+                  - product(warp_fn, pack.ricci[a][b])).is_zero()
+                 for a in range(4) for b in range(4))
     report.add("base_condition_symbolic", 0.0 if sym_ok else 1.0, 0.0)
 
     worst = 0.0
@@ -91,16 +66,12 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
     # the Laplacian is the g^{-1}-trace of the Hessian
     lap = sum_products(((pack.g_inv[a][b], hphi[a][b])
                         for a in range(4) for b in range(4)), Context.FOURD)
-    grad_sq = gradient_norm_sq(spec.metric, warp_fn)
-    float_lam = float(spec.lam)
-    # lam*g is left out at lam = 0.0: |x - 0.0*z| = |x| for every finite z
-    functions, (rho_at, hphi_at, g_at) = _eval_plan(
-        [pack.ricci, hphi, spec.metric.g if float_lam else []])
+    grad_sq = gradient_norm_sq(metric, warp_fn)
+    functions, (rho_at, hphi_at) = _eval_plan([pack.ricci, hphi])
     # The entries with a nonzero function in them.  Any other entry reads
     # |0| at every probe (or nan, from a 0 * inf), which max(worst, .)
     # passes over.
-    entries = [e for e in ((rho_at[a][b], hphi_at[a][b],
-                            g_at[a][b] if float_lam else -1)
+    entries = [e for e in ((rho_at[a][b], hphi_at[a][b])
                            for a in range(4) for b in range(4))
                if max(e) >= 0]
     try:
@@ -110,15 +81,11 @@ def warped_einstein_report(spec: WarpSpec, points=None, *,
                 raise DomainError(
                     f"warp function must be positive at probe {p}")
             pv = pv.real
-            values = [f.eval(p) for f in functions] + [0j]
-            for rho_i, hphi_i, g_i in entries:
-                val = values[rho_i] - spec.r / pv * values[hphi_i]
-                if float_lam:
-                    val = val - float_lam * values[g_i]
-                worst = max(worst, abs(val))
-            mu_e = (pv * lap.eval(p) + (spec.r - 1) * grad_sq.eval(p)
-                    + float_lam * pv ** 2)
-            mu_e_values.append(mu_e)
+            values = [h.eval(p) for h in functions] + [0j]
+            for rho_i, hphi_i in entries:
+                worst = max(worst, abs(values[rho_i]
+                                       - r / pv * values[hphi_i]))
+            mu_e_values.append(pv * lap.eval(p) + (r - 1) * grad_sq.eval(p))
         mean = sum(mu_e_values) / len(mu_e_values)
         std = math.sqrt(sum(abs(v - mean) ** 2
                             for v in mu_e_values) / len(mu_e_values))

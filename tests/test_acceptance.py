@@ -26,7 +26,7 @@ from affineqe.surface import (
     AffineConnection2, is_strongly_projectively_flat, normalize_type_b, ricci,
     save_connection, type_flags,
 )
-from affineqe.warp import WarpSpec, warped_einstein_report
+from affineqe.warp import warped_einstein_report
 
 MUS = list(DEFAULT_SWEEP_MUS)
 POINTS = default_probe_points()
@@ -248,7 +248,8 @@ def test_criterion_5_theorem_1_1():
     triples = _criterion5_triples(20)
     failures = []
     for conn, phi, mu, f in triples:
-        report = verify_theorem_1_1(conn, phi, mu, f, POINTS)
+        report = verify_theorem_1_1(build_extension(conn, phi), mu, f,
+                                    POINTS)
         names = {c.name: c for c in report.checks}
         checks_ok = (report.passed
                      and names["quasi_einstein_symbolic"].max_residual == 0.0
@@ -330,14 +331,15 @@ def test_criterion_8_warped_einstein():
              if all(f.eval((1.5, -1.0 + 0.2 * k)).real > 0
                     and abs(f.eval((1.5, -1.0 + 0.2 * k)).imag) < 1e-12
                     for k in range(11)))
-    spec = WarpSpec(build_extension(A2), f, Fraction(1), 2)
-    report = warped_einstein_report(spec, POINTS)
+    metric = build_extension(A2)
+    report = warped_einstein_report(metric, Fraction(1), f, POINTS)
     names = {c.name: c for c in report.checks}
     base_ok = names["base_condition_numeric"].max_residual <= 1e-10
     std_ok = names["fiber_constant_std"].max_residual <= 1e-6
     corrupted = product(to_bundle(f),
                         monomial(Context.FOURD, exp=(0, Fraction(-1, 200))))
-    control = warped_einstein_report(spec, POINTS, phi=corrupted)
+    control = warped_einstein_report(metric, Fraction(1), f, POINTS,
+                                     phi=corrupted)
     control_fails = not control.passed
     ok = report.passed and base_ok and std_ok and control_fails
     _line(8, ok, f"r=2 base residual {names['base_condition_numeric'].max_residual:.2e}"

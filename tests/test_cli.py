@@ -264,7 +264,8 @@ def test_sweep_timings(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv, "--timings", "--output",
                              str(timed))
     assert (code, out) == (0, "")
-    rows = list(csv.DictReader(timed.open(newline="")))
+    with timed.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == list(cli.SWEEP_FIELDS) + ["eigenspace_ms",
                                                       "oracle_ms"]
     assert len(rows) == 6 * 7
@@ -272,7 +273,8 @@ def test_sweep_timings(capsys, tmp_path):
         assert float(row.pop("eigenspace_ms")) >= 0
         assert float(row.pop("oracle_ms")) >= 0
     # the other columns are the default CSV's, row for row
-    assert rows == list(csv.DictReader(plain.open(newline="")))
+    with plain.open(newline="") as fh:
+        assert rows == list(csv.DictReader(fh))
     # one block on stderr: the count, the mismatches, one line per label
     head, *lines = err.splitlines()
     assert head == "sweep: 42 instances, 0 mismatches"

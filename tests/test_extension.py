@@ -178,8 +178,8 @@ def test_weyl_remark_cases():
 
 
 def test_verify_theorem_1_1_a2():
-    report = verify_theorem_1_1(A2, DeformationTensor.zero(Context.TYPE_A),
-                                Fraction(-1), exp_linear(0, 2), POINTS)
+    report = verify_theorem_1_1(build_extension(A2), Fraction(-1),
+                                exp_linear(0, 2), POINTS)
     assert report.passed
     names = {c.name: c for c in report.checks}
     assert names["quasi_einstein_symbolic"].max_residual == 0.0
@@ -195,26 +195,28 @@ def test_verify_theorem_1_1_type_b_any_phi():
         monomial(Context.TYPE_B, coeff=rng.randint(-2, 2), pow1=1, x2=1),
         monomial(Context.TYPE_B, coeff=rng.randint(-2, 2), x2=2))
     f = monomial(Context.TYPE_B, pow1=1)
-    report = verify_theorem_1_1(NONSYM, phi, Fraction(-1), f, POINTS)
+    report = verify_theorem_1_1(build_extension(NONSYM, phi), Fraction(-1),
+                                f, POINTS)
     assert report.passed
     assert report.metadata["mu_cotangent"] == "-1/2"
 
 
 def test_verify_theorem_1_1_flat_trivial():
     flat = AffineConnection2.type_a()
-    report = verify_theorem_1_1(flat, DeformationTensor.zero(Context.TYPE_A),
-                                Fraction(2), constant(1, Context.TYPE_A),
-                                POINTS)
+    report = verify_theorem_1_1(build_extension(flat), Fraction(2),
+                                constant(1, Context.TYPE_A), POINTS)
     assert report.passed
 
 
 def test_verify_precondition_failure_reported():
     bad = exp_linear(0, 1)  # not in E(-1, A2)
-    report = verify_theorem_1_1(A2, DeformationTensor.zero(Context.TYPE_A),
-                                Fraction(-1), bad, POINTS)
+    metric = build_extension(A2)
+    report = verify_theorem_1_1(metric, Fraction(-1), bad, POINTS)
     assert not report.passed
-    assert report.checks[0].name == "precondition_qe_residual"
+    assert [c.name for c in report.checks] == ["precondition_qe_residual"]
     assert not report.checks[0].passed
+    # it returned before any curvature tensor of the metric was built
+    assert "christoffel" not in vars(curvature4(metric))
 
 
 def test_conformal_einstein_hyperbolic():
@@ -241,10 +243,10 @@ def test_power_log_deformation():
         monomial(Context.TYPE_B, coeff=-1, pow1=1, x2=1),
         monomial(Context.TYPE_B, coeff=3, log=2))
     f = monomial(Context.TYPE_B, pow1=1)
-    report = verify_theorem_1_1(NONSYM, phi, Fraction(-1), f, POINTS)
+    metric = build_extension(NONSYM, phi)
+    report = verify_theorem_1_1(metric, Fraction(-1), f, POINTS)
     assert report.passed
-    assert conformal_einstein_residual(build_extension(NONSYM, phi), f,
-                                       POINTS) <= 1e-8
+    assert conformal_einstein_residual(metric, f, POINTS) <= 1e-8
 
 
 def test_conformal_einstein_flat():

@@ -478,6 +478,11 @@ def _gq_inv(a):
 
 def test_rational_fast_paths_match_general_path():
     make = Scalar._make
+    # a Python int operand is the rational it names, and so is a bool
+    for n in (0, 1, -7, 2 ** 70, True, False):
+        got = Scalar.of(n)
+        _assert_same_scalar(got, make([_gq(int(n))], None))
+        assert type(got._c[0][0].numerator) is int
     values = _rationals(7, 24)
     for p in values:
         a = Scalar(p)

@@ -10,8 +10,8 @@ from affineqe.funcalg import Context, Term, monomial
 from affineqe.scalars import Scalar, ScalarError
 from affineqe.qesolver import _rank1_frame, eigenspace
 from affineqe.surface import (
-    AffineConnection2, _gamma_function, christoffel, connection_from_json,
-    connection_to_json,
+    IDENTITY_RECORD, AffineConnection2, _gamma_function, christoffel,
+    connection_from_json, connection_to_json,
     is_strongly_projectively_flat, nabla_ricci, normalize_type_b, ricci,
     transform, type_flags,
 )
@@ -276,7 +276,7 @@ def test_normalize_spec_example():
 def test_normalize_identity_cases():
     conn = AffineConnection2.type_b(c121=3)
     normalized, record = normalize_type_b(conn)
-    assert normalized == conn and record.is_identity
+    assert normalized == conn and record == IDENTITY_RECORD
     normalized, record = normalize_type_b(HYPERBOLIC)
     assert normalized == HYPERBOLIC
     assert record.scale == Scalar(1) and record.shear.is_zero()
