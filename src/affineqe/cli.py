@@ -37,7 +37,7 @@ from .surface import (
     AffineConnection2, connection_to_json, ricci,
     is_strongly_projectively_flat, load_connection, scalar_str, type_flags,
 )
-from .warp import warped_einstein_report
+from .warp import WarpError, fiber_dimension, warped_einstein_report
 
 
 # the most probe points one command builds, so that memory stays bounded
@@ -247,9 +247,11 @@ def _cmd_verify(args) -> int:
 def _cmd_warp(args) -> int:
     conn = _load_conn(args.input)
     mu = _parse_mu(args.mu)
-    if mu <= 0 or Fraction(2, 1) / mu != int(Fraction(2, 1) / mu):
+    try:
+        fiber_dimension(mu)
+    except WarpError:
         raise InputError(f"warp needs mu = 2/r for a positive integer r, "
-                         f"got {mu}")
+                         f"got {mu}") from None
     phi = _load_phi(args.phi, conn.context)
     points = default_probe_points(_seed(args), args.points)
     f, desc = _pick_solution(conn, mu, points, args.f_index)

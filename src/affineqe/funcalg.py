@@ -153,7 +153,8 @@ class AnsatzFunction:
                 m = merged.get(k)
                 merged[k] = t if m is None else m.with_coeff(m.coeff + t.coeff)
             terms = [t for t in merged.values() if not t.coeff.is_zero()]
-            terms.sort(key=Term.sort_key)
+            if len(terms) > 1:
+                terms.sort(key=Term.sort_key)
         elif terms and terms[0].coeff.is_zero():
             terms = ()
         _set(self, "terms", tuple(terms))

@@ -741,7 +741,9 @@ def realize_real_basis(desc) -> list[AnsatzFunction]:
         return []
     half = Scalar(Fraction(1, 2))
     neg_half_i = Scalar(0, Fraction(-1, 2))
-    pairs = [(f, f.conjugate()) for f in basis]
+    # an element with only real scalars is its own conjugate
+    pairs = [(f, f if all(s.is_real() for t in f.terms for s in t[:4])
+              else f.conjugate()) for f in basis]
     members = set(basis)
     closed = all(fc in members for _, fc in pairs)
     candidates, later = [], set()

@@ -9,19 +9,31 @@ the rank-2 critical case) while keeping equality decidable and exact.
 The field arithmetic is closed-form: products reduce by the minimal polynomial,
 inverses come from Cayley-Hamilton, and conjugates go by root index.
 
-A product, sum or difference of two real rationals with no theta is integer
-arithmetic on their numerators and denominators: a product is cross-cancelled
-by two gcds, a sum or difference goes over d1*d2 and is reduced by one gcd (by
-none for two integers).  Its `Fraction` is built in canonical form by setting
-the `_numerator` and `_denominator` slots, as CPython 3.12's
-`Fraction._from_coprime_ints` does; the slots are the same on 3.10 to 3.13,
-and `tests/rational_kernel_check.py` checks the kernel on each.  The parts
-stay `Fraction`s of the same value, so hashes, sort keys and every output are
-those of `Fraction`'s own operators.  Negation, `inverse`, `__eq__`, the Q(i)
-helpers and the field arithmetic stay on `Fraction`'s operators for now
-(ROADMAP items 1 and 3): the benchmark keeps a record per op, so its peak
-memory grows with throughput until that record is of fixed size, and the
-field arithmetic is to move to one integer representation as a whole.
+Every operation on a real rational with no theta is integer arithmetic on
+the `_numerator` and `_denominator` slots of its `Fraction` parts:
+
+- a product is cross-cancelled by two gcds, and a sum or difference goes
+  over d1*d2 and is reduced by one gcd (by none for two integers);
+- negation negates the numerator, and `inverse` swaps numerator and
+  denominator, moving the sign to the numerator;
+- `is_zero`, `is_rational` and `is_real` test numerators, and
+  `is_nonnegative_integer` also the denominator;
+- `==` between two context-free Scalars compares the four ints of their
+  parts, and `hash` hashes them (a field element hashes its coefficients
+  and context, as before: it never equals a context-free Scalar);
+- an int operand or constructor argument becomes a `Fraction` by its
+  slots, and an int 0 imaginary part is the shared `_F0`.
+
+A result's `Fraction` is built in canonical form by setting the slots, as
+CPython 3.12's `Fraction._from_coprime_ints` does; the slots are the same
+on 3.10 to 3.13, and `tests/rational_kernel_check.py` checks the kernel on
+each.  The parts stay `Fraction`s of the same value, so sort keys and every
+output are those of `Fraction`'s own operators.  The Q(i) helpers, the
+Gaussian inverse and the field arithmetic stay on `Fraction`'s operators
+for now (ROADMAP items 1 and 3): the benchmark keeps a record per op, so
+its peak memory grows with throughput until that record is of fixed size,
+and the field arithmetic is to move to one integer representation as a
+whole.
 """
 from __future__ import annotations
 
@@ -46,6 +58,11 @@ class ScalarError(ArithmeticError):
 
 
 def _fr(x) -> Fraction:
+    if type(x) is int:  # not a bool: that takes Fraction's constructor
+        q = _new(Fraction)
+        q._numerator = x
+        q._denominator = 1
+        return q
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -256,7 +273,8 @@ class Scalar:
     __slots__ = ("_c", "_ctx", "_h", "_sk")
 
     def __init__(self, value: RationalLike = 0, imag: RationalLike = 0):
-        self._c = ((_fr(value), _fr(imag) or _F0),)
+        self._c = ((_fr(value), _F0 if type(imag) is int and not imag
+                    else _fr(imag) or _F0),)
         self._ctx = None
         self._h = None
         self._sk = None
@@ -318,10 +336,10 @@ class Scalar:
         if self._ctx is not None:
             return False
         re, im = self._c[0]
-        return not (re or im)
+        return not (re._numerator or im._numerator)
 
     def is_rational(self) -> bool:
-        return self._ctx is None and self._c[0][1] == 0
+        return self._ctx is None and not self._c[0][1]._numerator
 
     def is_gaussian_rational(self) -> bool:
         return self._ctx is None
@@ -333,10 +351,15 @@ class Scalar:
 
     def is_nonnegative_integer(self) -> bool:
         q = self._c[0][0]
-        return self.is_rational() and q.denominator == 1 and q >= 0
+        return (self.is_rational() and q._denominator == 1
+                and q._numerator >= 0)
 
     def is_real(self) -> bool:
-        return self == self.conjugate()
+        """Whether self equals its conjugate: every imaginary part is 0
+        and, for a field element, its root is real (the conjugate of a
+        complex root is another root, so another context)."""
+        return (all(not im._numerator for _, im in self._c)
+                and (self._ctx is None or self._ctx.root_is_real()))
 
     def to_complex(self) -> complex:
         if self._ctx is None:
@@ -380,7 +403,7 @@ class Scalar:
         if self._ctx is None and other._ctx is None:
             (ar, ai), = self._c
             (br, bi), = other._c
-            if (ai is _F0 or not ai) and (bi is _F0 or not bi):
+            if not (ai._numerator or bi._numerator):
                 na, nb = ar._numerator, br._numerator
                 if not nb:
                     return self
@@ -412,8 +435,8 @@ class Scalar:
     def __neg__(self):
         if self._ctx is None:
             (re, im), = self._c
-            if im is _F0 or not im:
-                return _rational(-re)
+            if not im._numerator:
+                return _ratio(-re._numerator, re._denominator)
             return Scalar._make((_gq_neg(self._c[0]),), None)
         return _in_field(tuple([_gq_neg(x) for x in self._c]), self._ctx)
 
@@ -423,7 +446,7 @@ class Scalar:
         if self._ctx is None and other._ctx is None:
             (ar, ai), = self._c
             (br, bi), = other._c
-            if (ai is _F0 or not ai) and (bi is _F0 or not bi):
+            if not (ai._numerator or bi._numerator):
                 na, nb = ar._numerator, br._numerator
                 if not nb:
                     return self
@@ -442,7 +465,7 @@ class Scalar:
         if self._ctx is None and other._ctx is None:
             (ar, ai), = self._c
             (br, bi), = other._c
-            if (ai is _F0 or not ai) and (bi is _F0 or not bi):
+            if not (ai._numerator or bi._numerator):
                 na, nb = ar._numerator, br._numerator
                 if not na or not nb:
                     return ZERO
@@ -496,8 +519,9 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if self._ctx is None:
             re, im = self._c[0]
-            if im is _F0 or not im:
-                return _rational(1 / re)
+            if not im._numerator:
+                n, d = re._numerator, re._denominator
+                return _ratio(d, n) if n > 0 else _ratio(-d, -n)
             n = re * re + im * im
             return Scalar._make(((re / n, -im / n),), None)
         # Cayley-Hamilton over Q(i): Newton's identities turn the traces
@@ -547,19 +571,33 @@ class Scalar:
         return Scalar._make([(re, -im) for re, im in self._c], ctx)
 
     # -- comparison / hashing ----------------------------------------------
+    # A context-free Scalar is compared and hashed by the four ints of its
+    # canonical parts; a field element never equals one.
     def __eq__(self, other):
         if self is other:
             return True
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.of(other)
+        if self._ctx is None and other._ctx is None:
+            (ar, ai), = self._c
+            (br, bi), = other._c
+            return (ar._numerator == br._numerator
+                    and ar._denominator == br._denominator
+                    and ai._numerator == bi._numerator
+                    and ai._denominator == bi._denominator)
         return self._c == other._c and self._ctx == other._ctx
 
     def __hash__(self):
         h = self._h
         if h is None:
-            h = hash((self._c, self._ctx))
+            if self._ctx is None:
+                (re, im), = self._c
+                h = hash((re._numerator, re._denominator,
+                          im._numerator, im._denominator))
+            else:
+                h = hash((self._c, self._ctx))
             self._h = h
         return h
 
@@ -595,21 +633,11 @@ class Scalar:
         return f"<{body} ; {sym}: {tuple(map(str, self._ctx.minpoly))} root {self._ctx.root_index}>"
 
 
-def _rational(q: Fraction) -> Scalar:
-    """The context-free real rational q, built without `_make`'s checks."""
-    s = _new(Scalar)
-    s._c = ((q, _F0),)
-    s._ctx = None
-    s._h = None
-    s._sk = None
-    return s
-
-
 def _ratio(n: int, d: int) -> Scalar:
     """The context-free real rational n/d for coprime n and d > 0: its
     `Fraction` is built in canonical form, as CPython 3.12's
-    `Fraction._from_coprime_ints` builds one, with no normalisation.  It
-    repeats `_rational`'s body: a call less is 4% of a rational product."""
+    `Fraction._from_coprime_ints` builds one, with no normalisation, and
+    the `Scalar` without `_make`'s checks."""
     q = _new(Fraction)
     q._numerator = n
     q._denominator = d

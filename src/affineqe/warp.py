@@ -19,7 +19,8 @@ import math
 from fractions import Fraction
 
 from .extension import (
-    ExtensionMetric, curvature4, default_probe_points, gradient_norm_sq,
+    ExtensionMetric, _ricci_symmetric, curvature4, default_probe_points,
+    gradient_norm_sq,
 )
 from .funcalg import (
     AnsatzFunction, Context, DomainError, _eval_plan, product, sum_products,
@@ -33,6 +34,14 @@ class WarpError(ValueError):
     pass
 
 
+def fiber_dimension(mu) -> int:
+    """The positive integer r with mu = 2/r; WarpError if there is none."""
+    mu = Fraction(mu)
+    if mu <= 0 or (2 / mu).denominator != 1:
+        raise WarpError(f"need mu = 2/r for a positive integer r, got {mu}")
+    return (2 / mu).numerator
+
+
 def warped_einstein_report(metric: ExtensionMetric, mu, f: AnsatzFunction,
                            points=None, *,
                            phi: AnsatzFunction | None = None
@@ -42,9 +51,7 @@ def warped_einstein_report(metric: ExtensionMetric, mu, f: AnsatzFunction,
     fiber dimension r = 2/mu; `phi` overrides the warp function pi*f (used
     by negative controls with a corrupted potential)."""
     mu = Fraction(mu)
-    if mu <= 0 or (2 / mu).denominator != 1:
-        raise WarpError(f"need mu = 2/r for a positive integer r, got {mu}")
-    r = (2 / mu).numerator
+    r = fiber_dimension(mu)
     if points is None:
         points = default_probe_points()
     report = VerificationReport([], {"mu": str(mu), "r": r, "lambda": "0"})
@@ -55,10 +62,12 @@ def warped_einstein_report(metric: ExtensionMetric, mu, f: AnsatzFunction,
     pack = curvature4(metric)
     warp_fn = to_bundle(f) if phi is None else phi
     hphi = pack.hessian(warp_fn)
-    # base condition, cleared of the 1/phi: r*Hess(phi) - phi*rho
+    # base condition, cleared of the 1/phi: r*Hess(phi) - phi*rho; the
+    # Hessian is symmetric, so the entries b < a add only Ricci's symmetry
     sym_ok = all((hphi[a][b].scale(r)
                   - product(warp_fn, pack.ricci[a][b])).is_zero()
-                 for a in range(4) for b in range(4))
+                 for a in range(4) for b in range(a, 4)
+                 ) and _ricci_symmetric(pack)
     report.add("base_condition_symbolic", 0.0 if sym_ok else 1.0, 0.0)
 
     worst = 0.0

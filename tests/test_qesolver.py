@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from affineqe import _linalg, qesolver, surface
+from affineqe import _linalg, qesolver, scalars, surface
 from affineqe.cli import DEFAULT_SWEEP_MUS
 from affineqe.funcalg import (
     AnsatzFunction, Context, Point, Term, constant, exp_linear, hessian,
@@ -508,6 +508,91 @@ def test_realize_real_basis_pairs_by_conjugation_and_searches_otherwise():
     # the search still refuses a list that spans less than its length
     with pytest.raises(SolverError, match="lost dimension"):
         realize_real_basis([real, real.scale(2), real.scale(3), lone])
+
+
+def _realize_with_every_conjugate(basis):
+    """`realize_real_basis` with a conjugate built for every element: the
+    full path, as the reference for its real-element shortcut."""
+    half, neg_half_i = Scalar(Fraction(1, 2)), Scalar(0, Fraction(-1, 2))
+    pairs = [(f, f.conjugate()) for f in basis]
+    members = set(basis)
+    candidates, later = [], set()
+    for f, fc in pairs:
+        if fc == f:
+            candidates.append(f)
+        elif f not in later:
+            later.add(fc)
+            candidates += [(f + fc).scale(half), (f - fc).scale(neg_half_i)]
+    if all(fc in members for _, fc in pairs):
+        return candidates
+    rank, picked = rank_basis([c for c in candidates if not c.is_zero()])
+    if rank < len(basis):
+        raise SolverError("real realization lost dimension")
+    return picked[: len(basis)]
+
+
+def _outcome(realize, basis):
+    try:
+        return [(g.context, g.terms) for g in realize(basis)]
+    except SolverError as exc:
+        return str(exc)
+
+
+def test_realize_real_basis_skips_real_elements_with_the_same_result():
+    r5 = Scalar.sqrt_rational(5)  # a real root
+    i3 = Scalar.sqrt_rational(-3)  # i*sqrt(3): a real root, imaginary parts
+    # sqrt(-2) as a root of x^2 + 2, whose roots are complex
+    j2 = Scalar._make([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))],
+                      scalars.AlgebraicContext((Fraction(2), Fraction(0),
+                                                Fraction(1)), 0))
+    cubic = scalars.roots_of_monic([-2, 0, 0, 1])  # one real, two complex
+    fields = {"Q": [Scalar(Fraction(1, 2)), Scalar(-3)],
+              "Q(i)": [Scalar(0, 1), Scalar(2, -1)],
+              "Q(sqrt5)": [r5, r5 * Fraction(2, 3) + 1],
+              "Q(i)(sqrt3)": [i3, i3 + 1],
+              "Q(sqrt-2)": [j2, j2 * 2 - 1],
+              "cubic real root": [cubic[0], cubic[0] * cubic[0] - 1],
+              "cubic complex root": [cubic[1], cubic[1] * cubic[1] + 3],
+              "cubic conjugate root": [cubic[2], cubic[2] - 1]}
+    rng = random.Random(20261022)
+    seen_real = seen_other = realized = 0
+    for name, pool in fields.items():
+        values = pool + [Scalar(1), Scalar(-2), Scalar(Fraction(3, 4))]
+        # Over a complex root, f and conj(f) live in two contexts: f + conj(f)
+        # can add no coefficients of theirs, and no rank search can mix
+        # them, so only exponents use the root and every basis is closed.
+        ctx = pool[0].context
+        real_root = ctx is None or ctx.root_is_real()
+        coeffs = values if real_root else values[2:] + [Scalar(0, 1)]
+        for k in range(12):
+            context = (Context.TYPE_A, Context.TYPE_B)[k % 2]
+            basis = []
+            for _ in range(rng.randint(1, 4)):
+                terms = [Term(rng.choice(coeffs), rng.choice(values),
+                              rng.choice(values)) if k % 2 == 0 else
+                         Term(rng.choice(coeffs), pow1=rng.choice(values),
+                              logdeg=rng.randint(0, 1))
+                         for _ in range(rng.randint(1, 3))]
+                f = AnsatzFunction(terms, context)
+                pick = rng.random()
+                if pick < 0.3 or not real_root:
+                    basis += [f, f.conjugate()]
+                elif pick < 0.5:
+                    basis.append(f.scale(Scalar(0, 1)))
+                else:
+                    basis.append(f)
+            if rng.random() < 0.5:
+                basis.append(monomial(context, coeff=rng.choice(coeffs), x2=1))
+            for f in basis:
+                if f.conjugate() == f:
+                    seen_real += 1
+                else:
+                    seen_other += 1
+            got = _outcome(realize_real_basis, basis)
+            assert got == _outcome(_realize_with_every_conjugate, basis), name
+            realized += type(got) is list
+    # the seeded draw: 84 of the 96 bases span their length
+    assert seen_real and seen_other and realized == 84
 
 
 def test_nonlinear_transform_a2():

@@ -513,6 +513,29 @@ def test_rational_fast_paths_match_general_path():
         _assert_same_scalar(a * b, make([_gq_mul(_gq(p), _gq(q))], None))
         _assert_same_scalar(a + b, make([_gq_add(_gq(p), _gq(q))], None))
         _assert_same_scalar(a - b, make([_gq_add(_gq(p), _gq(-q))], None))
+    # the tests, ==, hash, -x and 1/x on each build of a rational: zero,
+    # negative values, integers and numerators beyond 2**70
+    values = sorted({v for pair in pairs for v in pair})
+    assert 0 in values and min(values) < 0
+    assert any(v.denominator == 1 and v > 1 for v in values)
+    assert any(abs(v.numerator) > 2 ** 70 and v.denominator > 1
+               for v in values) and 2 ** 70 in values
+    assert rational_kernel_check.unary_mismatches(values) == []
+    for p in values:
+        for x in rational_kernel_check.builds(p):
+            _assert_same_scalar(x, make([_gq(p)], None))
+            _assert_same_scalar(-x, make([_gq_neg(_gq(p))], None))
+            if p:
+                _assert_same_scalar(x.inverse(), make([_gq_inv(_gq(p))], None))
+    # Gaussian values, with zero and nonzero imaginary parts, and field
+    # elements, which keep the Fraction operators
+    assert any(q == 0 for _, q in pairs) and any(q != 0 for _, q in pairs)
+    assert rational_kernel_check.gaussian_mismatches(pairs) == []
+    assert rational_kernel_check.field_mismatches(pairs[::4]) == []
+    # a float is refused in either part, a zero imaginary part included
+    for args in ((0.5,), (1, 0.0), (1, 0.5), (True, 0.0)):
+        with pytest.raises(ScalarError):
+            Scalar(*args)
 
 
 def test_gaussian_and_field_operands_keep_their_values():

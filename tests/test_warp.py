@@ -8,11 +8,12 @@ from affineqe.extension import (
     verify_theorem_1_1,
 )
 from affineqe.funcalg import (
-    Context, constant, hessian, monomial, product, to_bundle,
+    Context, constant, exp_linear, hessian, monomial, product, to_bundle,
 )
 from affineqe.qesolver import eigenspace, realize_real_basis
+from affineqe.scalars import Scalar
 from affineqe.surface import AffineConnection2
-from affineqe.warp import WarpError, warped_einstein_report
+from affineqe.warp import WarpError, fiber_dimension, warped_einstein_report
 
 A2 = AffineConnection2.type_a(c121=2, c222=1)
 POINTS = default_probe_points()
@@ -121,12 +122,57 @@ def test_warp_negative_control():
     assert names["base_condition_numeric"].max_residual > 1e-10
 
 
+def _symbolic_verdicts(metric, mu, f):
+    """Whether quasi_einstein_symbolic and base_condition_symbolic pass,
+    computed on all 16 entries of the metric's curvature package."""
+    pack = extension.curvature4(metric)
+    w = to_bundle(f)
+    hw = hessian(pack.christoffel, w)
+    half_mu, r = Scalar(Fraction(mu, 2)), 2 / Fraction(mu) if mu > 0 else 0
+    qe = all((hw[a][b] - product(w, pack.ricci[a][b]).scale(half_mu)
+              ).is_zero() for a in range(4) for b in range(4))
+    base = all((hw[a][b].scale(r) - product(w, pack.ricci[a][b])).is_zero()
+               for a in range(4) for b in range(4))
+    return qe, base
+
+
+@pytest.mark.parametrize("entry", [None, (0, 2), (2, 0), (3, 1)])
+def test_symbolic_checks_see_an_asymmetric_ricci(entry):
+    # The checks read the Hessian's 10 entries a <= b and Ricci's symmetry;
+    # a Ricci tensor changed in one entry off the diagonal must fail them
+    # where the 16 entries fail, and at mu = 0 the quasi-Einstein check
+    # scales Ricci by 0, so it passes as before.
+    cases = [(Fraction(1), a2_mu1_solution()), (Fraction(-1), exp_linear(0, 2)),
+             (Fraction(0), constant(1, Context.TYPE_A))]
+    for mu, f in cases:
+        metric = build_extension(A2)
+        pack = extension.curvature4(metric)
+        if entry is not None:
+            a, b = entry
+            ricci = [list(row) for row in pack.ricci]
+            ricci[a][b] = ricci[a][b] + constant(1, Context.FOURD)
+            pack.ricci = ricci  # in place of the cached tensor
+        qe, base = _symbolic_verdicts(metric, mu, f)
+        assert qe == (entry is None or mu == 0)
+        report = verify_theorem_1_1(metric, mu, f, POINTS)
+        checks = {c.name: c.max_residual for c in report.checks}
+        assert checks["quasi_einstein_symbolic"] == (0.0 if qe else 1.0)
+        if mu == 1:
+            assert base == (entry is None)
+            report = warped_einstein_report(metric, mu, f, POINTS)
+            checks = {c.name: c.max_residual for c in report.checks}
+            assert checks["base_condition_symbolic"] == (0.0 if base else 1.0)
+
+
 def test_warp_requires_matching_r():
     # no positive integer r has 2/r = mu: refused before any check runs
     metric, f = build_extension(A2), a2_mu1_solution()
     for mu in (0, -1, 3, Fraction(4, 5)):
         with pytest.raises(WarpError):
             warped_einstein_report(metric, mu, f, POINTS)
+        with pytest.raises(WarpError):
+            fiber_dimension(mu)
+    assert [fiber_dimension(mu) for mu in (2, 1, Fraction(2, 5))] == [1, 2, 5]
 
 
 def test_warp_type_b_r2():
